@@ -140,9 +140,10 @@ def test_ablation_faults(benchmark):
 def run_mttr_study(n_ranks=4, count=1024):
     """Mean time to a recovered result for a mid-collective crash.
 
-    *Restart* is the strategy available without failure attribution: the
-    crash is only detected when the watchdog window expires, after which
-    the survivor group reruns the collective from scratch.  *Surgical*
+    *Restart* is the strategy available without failure attribution,
+    computed analytically: the crash is only detected when the watchdog
+    window expires, after which the survivor group reruns the collective
+    from scratch (one timeout plus a fault-free survivor run).  *Surgical*
     is the schedule-level path: the crash interrupts the executor at
     fault time and the guarded attempt recompiles for the survivors
     immediately, never waiting out the watchdog.
@@ -150,6 +151,7 @@ def run_mttr_study(n_ranks=4, count=1024):
     from repro.mpi.chaos import DEFAULT_TIMEOUT_FACTOR, chaos_input, reference_run
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
     from repro.mpi.datatypes import ArrayBuffer
+    from repro.mpi.guard import RetryPolicy
     from repro.mpi.schedule import run_guarded
     from repro.train.injection import FaultInjector
 
@@ -163,9 +165,8 @@ def run_mttr_study(n_ranks=4, count=1024):
         _, telemetry = run_guarded(
             ALLREDUCE_COMPILERS[name],
             lambda: [ArrayBuffer(chaos_input(r, count)) for r in range(n_ranks)],
-            timeout=timeout,
+            retry=RetryPolicy(timeout),
             fault_injector=injector,
-            repair=True,
         )
         surgical = telemetry.sim_time
         survivors = reference_run(name, n_ranks - 1, count=count)

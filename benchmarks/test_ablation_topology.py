@@ -8,8 +8,7 @@ network — and how much traffic each pushes through the leaf-spine core.
 
 from conftest import emit
 
-from repro.mpi import ALLREDUCE_ALGORITHMS, SizeBuffer
-from repro.mpi.runner import build_world, run_rank_programs
+from repro.mpi import ALLREDUCE_COMPILERS, ScheduleExecutor, SizeBuffer, build_world
 from repro.net import CONNECTX5_DUAL, fat_tree
 from repro.utils.ascii import render_table
 from repro.utils.units import MB
@@ -31,10 +30,8 @@ def run_topology_sweep():
             if alg in ("multicolor", "ring"):
                 kwargs["segment_bytes"] = 1024 * 1024
             bufs = [SizeBuffer(PAYLOAD // 4, 4) for _ in range(N)]
-            run_rank_programs(
-                comm, ALLREDUCE_ALGORITHMS[alg],
-                per_rank_args=[(b,) for b in bufs], **kwargs,
-            )
+            schedule = ALLREDUCE_COMPILERS[alg](N, PAYLOAD // 4, 4, **kwargs)
+            ScheduleExecutor(comm, schedule, bufs).run()
             core = sum(
                 v
                 for li, v in world.fabric.stats.link_bytes.items()

@@ -17,13 +17,13 @@ Quick start::
 
 from repro.core import ClusterExperiment, ExperimentConfig, TrainingRun
 from repro.data import IMAGENET_1K, IMAGENET_22K, simulate_shuffle
-from repro.mpi import ALLREDUCE_ALGORITHMS, simulate_allreduce
+from repro.mpi import ALLREDUCE_COMPILERS, simulate_allreduce
 from repro.train import DistributedSGDTrainer, WarmupStepSchedule
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALLREDUCE_ALGORITHMS",
+    "ALLREDUCE_COMPILERS",
     "ClusterExperiment",
     "DistributedSGDTrainer",
     "ExperimentConfig",

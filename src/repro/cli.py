@@ -302,12 +302,12 @@ def _cmd_epoch(args) -> int:
 
 
 def _cmd_allreduce(args) -> int:
-    from repro.mpi import ALLREDUCE_ALGORITHMS, simulate_allreduce
+    from repro.mpi import ALLREDUCE_COMPILERS, simulate_allreduce
 
-    if args.algorithm not in ALLREDUCE_ALGORITHMS:
+    if args.algorithm not in ALLREDUCE_COMPILERS:
         print(
             f"unknown algorithm {args.algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_ALGORITHMS)}",
+            f"choose from {sorted(ALLREDUCE_COMPILERS)}",
             file=sys.stderr,
         )
         return 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.calibration import DATASETS
-from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
+from repro.mpi.collectives import ALLREDUCE_COMPILERS
 
 __all__ = ["ExperimentConfig"]
 
@@ -42,10 +42,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.gpus_per_node < 1 or self.batch_per_gpu < 1:
             raise ValueError("cluster dimensions must be >= 1")
-        if self.allreduce not in ALLREDUCE_ALGORITHMS:
+        if self.allreduce not in ALLREDUCE_COMPILERS:
             raise ValueError(
                 f"unknown allreduce {self.allreduce!r}; "
-                f"choose from {sorted(ALLREDUCE_ALGORITHMS)}"
+                f"choose from {sorted(ALLREDUCE_COMPILERS)}"
             )
         if self.dataset not in DATASETS:
             raise ValueError(

@@ -1,8 +1,8 @@
 """Guarded execution for the distributed shuffle (data-plane fault tolerance).
 
-:func:`run_shuffle_guarded` is the shuffle's counterpart of
-:func:`repro.mpi.schedule.run_guarded`: it runs one transactional shuffle
-round under a watchdog, rolls every store back to its pre-shuffle snapshot
+:func:`run_shuffle_guarded` binds a shuffle attempt to the shared guard
+(:func:`repro.mpi.guard.guard`): it runs one transactional shuffle round
+under the watchdog, rolls every store back to its pre-shuffle snapshot
 on any fault, and either retries (transient: lost/delayed/corrupted
 messages) or surgically repairs around a permanent rank loss by dealing
 the victim's partition to the survivors and re-running the round over the
@@ -31,15 +31,10 @@ from repro.data.shuffle import (
     ShuffleReport,
     distributed_shuffle,
 )
+from repro.mpi.guard import Attempt, CollectiveTelemetry, RetryPolicy, drive, guard
 from repro.mpi.runner import build_world
-from repro.mpi.schedule import (
-    CollectiveTelemetry,
-    CollectiveTimeout,
-    FailureDiagnosis,
-    RankFailure,
-    StalledStep,
-)
-from repro.sim.engine import Interrupt
+from repro.mpi.schedule import FailureDiagnosis, StalledStep
+from repro.sim.engine import Event
 from repro.utils.rng import rng_for
 
 __all__ = ["diagnose_shuffle", "run_shuffle_guarded"]
@@ -147,127 +142,109 @@ def _corruption_diagnosis(
     )
 
 
-def _rollback_all(stores: list[DIMDStore], round_id: int) -> None:
-    for s in stores:
-        s.rollback_shuffle(round_id)
+class _ShuffleAttempt(Attempt[list[ShuffleReport]]):
+    """One transactional shuffle round on a fresh private world.
+
+    Rollback undoes the round on every store (including ranks that had
+    already committed); dropping a victim deals its rolled-back partition
+    to the survivors, so the re-run starts from pristine post-deal state.
+    """
+
+    def __init__(
+        self, stores, *, seed, round_id, topology, max_chunk_bytes, tag,
+        fault_injector, iteration,
+    ):
+        super().__init__(fault_injector=fault_injector, iteration=iteration)
+        self.stores = list(stores)
+        self.seed = seed
+        self.round_id = round_id
+        self.topology = topology
+        self.max_chunk_bytes = max_chunk_bytes
+        self.tag = tag
+
+    @property
+    def size(self) -> int:
+        return len(self.stores)
+
+    def drop(self, rank: int) -> None:
+        deal_records(self.stores.pop(rank), self.stores)
+
+    def solo(self) -> list[ShuffleReport]:
+        store = self.stores[0]
+        store.local_permute(rng_for(self.seed, "perm", self.round_id, 0))
+        return [ShuffleReport(0.0, 0.0, store.nbytes, 1)]
+
+    def launch(self) -> Event:
+        for s in self.stores:
+            s.begin_shuffle(self.round_id)
+        self.engine, world, comm = build_world(self.size, topology=self.topology)
+        self.progress = ShuffleProgress(self.size)
+        self.procs = [
+            self.engine.process(
+                distributed_shuffle(
+                    comm,
+                    r,
+                    store,
+                    seed=self.seed,
+                    round_id=self.round_id,
+                    max_chunk_bytes=self.max_chunk_bytes,
+                    tag=self.tag,
+                    progress=self.progress,
+                ),
+                name=f"shuffle{r}",
+            )
+            for r, store in enumerate(self.stores)
+        ]
+        done = self.engine.all_of(self.procs)
+        self.arm(self.engine, world, self.procs)
+        return done
+
+    def diagnose(self, failure: Exception | None) -> FailureDiagnosis | None:
+        if failure is None:
+            return diagnose_shuffle(self.progress, self.engine.now)
+        if isinstance(failure, ShuffleIntegrityError):
+            return _corruption_diagnosis(self.progress, failure, self.engine.now)
+        return None
+
+    def rollback(self) -> None:
+        for s in self.stores:
+            s.rollback_shuffle(self.round_id)
+
+    def commit(self) -> list[ShuffleReport]:
+        for s in self.stores:
+            s.finalize_shuffle(self.round_id)
+        return [p.value for p in self.procs]
 
 
 def run_shuffle_guarded(
     stores: list[DIMDStore],
     *,
+    retry: RetryPolicy,
     seed: int = 0,
     round_id: int = 0,
-    timeout: float,
-    max_retries: int = 3,
-    retry_backoff: float = 0.5,
     topology: str = "star",
     max_chunk_bytes: int = MPI_OFFSET_LIMIT,
     tag: object = None,
     fault_injector=None,
     iteration: int = 0,
     telemetry: CollectiveTelemetry | None = None,
-    repair: bool = True,
 ) -> tuple[list[ShuffleReport], CollectiveTelemetry]:
     """Run one shuffle round to completion under watchdog/retry/repair.
 
-    ``stores`` is consumed as the live survivor list: a surgically repaired
-    victim is popped (after its records are dealt to the survivors) and
-    the group-rank of every pop is appended to ``telemetry.repaired_ranks``
-    in order, so callers can replay the pops against their own slot
-    bookkeeping — exactly the :func:`~repro.mpi.schedule.run_guarded`
-    contract.  Returns ``(reports, telemetry)`` with one
+    Transient faults (lost, delayed or corrupted messages) roll the round
+    back and retry under ``retry``; a corrupted payload is diagnosed as
+    ``"corruption"`` naming the sender.  A surgically repaired victim's
+    records are dealt to the survivors, and the group-rank of every repair
+    is appended to ``telemetry.repaired_ranks`` in order, so callers can
+    replay the pops against their own slot bookkeeping — the
+    :func:`~repro.mpi.schedule.run_guarded` contract.  Returns
+    ``(reports, telemetry)`` with one
     :class:`~repro.data.shuffle.ShuffleReport` per surviving rank.
-
-    Every failed attempt rolls **all** stores back to their pre-round
-    snapshots (including ranks that had already committed), so partial
-    commits can never leak: a failed round is a group-wide no-op.
     """
     telemetry = telemetry if telemetry is not None else CollectiveTelemetry()
-    stores = list(stores)
-    attempts = 0
-    backoff = retry_backoff
-    while True:
-        n = len(stores)
-        if n == 1:
-            stores[0].local_permute(rng_for(seed, "perm", round_id, 0))
-            return [ShuffleReport(0.0, 0.0, stores[0].nbytes, 1)], telemetry
-        for s in stores:
-            s.begin_shuffle(round_id)
-        engine, world, comm = build_world(n, topology=topology)
-        progress = ShuffleProgress(n)
-        procs = [
-            engine.process(
-                distributed_shuffle(
-                    comm,
-                    r,
-                    stores[r],
-                    seed=seed,
-                    round_id=round_id,
-                    max_chunk_bytes=max_chunk_bytes,
-                    tag=tag,
-                    progress=progress,
-                ),
-                name=f"shuffle{r}",
-            )
-            for r in range(n)
-        ]
-        done = engine.all_of(procs)
-        mark = len(fault_injector.events) if fault_injector is not None else 0
-        if fault_injector is not None:
-            fault_injector.arm(engine, world, procs, iteration)
-        deadline = engine.timeout(timeout)
-        try:
-            engine.run(engine.any_of([done, deadline]))
-        except Interrupt as exc:
-            telemetry.sim_time += engine.now
-            if fault_injector is not None:
-                telemetry.fault_events.extend(fault_injector.events_since(mark))
-            _rollback_all(stores, round_id)
-            cause = exc.cause
-            if isinstance(cause, RankFailure) and repair:
-                # Surgical repair: the victim's (rolled-back) partition is
-                # dealt to the survivors and the round re-runs over the
-                # survivor group from pristine post-deal state.
-                telemetry.repaired_ranks.append(cause.rank)
-                dead = stores.pop(cause.rank)
-                deal_records(dead, stores)
-                continue
-            if isinstance(cause, RankFailure):
-                raise cause from exc
-            raise
-        except ShuffleIntegrityError as exc:
-            telemetry.sim_time += engine.now
-            if fault_injector is not None:
-                telemetry.fault_events.extend(fault_injector.events_since(mark))
-            _rollback_all(stores, round_id)
-            diagnosis = _corruption_diagnosis(progress, exc, engine.now)
-            telemetry.diagnoses.append(diagnosis)
-            attempts += 1
-            telemetry.retries += 1
-            if attempts > max_retries:
-                raise CollectiveTimeout(
-                    timeout, iteration, attempts, diagnosis
-                ) from exc
-            telemetry.backoff += backoff
-            telemetry.sim_time += backoff
-            backoff *= 2
-            continue
-        telemetry.sim_time += engine.now
-        if fault_injector is not None:
-            telemetry.fault_events.extend(fault_injector.events_since(mark))
-        if done.triggered:
-            for s in stores:
-                s.finalize_shuffle(round_id)
-            return [p.value for p in procs], telemetry
-        # Watchdog fired first: roll back, attribute the stall, retry with
-        # bounded exponential backoff (accounted in simulated time).
-        _rollback_all(stores, round_id)
-        diagnosis = diagnose_shuffle(progress, engine.now)
-        telemetry.diagnoses.append(diagnosis)
-        attempts += 1
-        telemetry.retries += 1
-        if attempts > max_retries:
-            raise CollectiveTimeout(timeout, iteration, attempts, diagnosis)
-        telemetry.backoff += backoff
-        telemetry.sim_time += backoff
-        backoff *= 2
+    attempt = _ShuffleAttempt(
+        stores, seed=seed, round_id=round_id, topology=topology,
+        max_chunk_bytes=max_chunk_bytes, tag=tag,
+        fault_injector=fault_injector, iteration=iteration,
+    )
+    return drive(guard(attempt, retry, telemetry)), telemetry

@@ -6,9 +6,9 @@ See DESIGN.md §4h.  The pieces:
   engine/fabric/world, and the slot/utilization ledger;
 * :class:`~repro.fleet.jobs.JobSpec` / :class:`~repro.fleet.jobs.FleetJob`
   — deterministic job definitions and their runtime training programs;
-* :func:`~repro.fleet.collective.guarded_fleet_allreduce` — the
-  watchdog/retry/surgical-repair guard re-expressed as a generator for a
-  shared engine;
+* :func:`~repro.fleet.collective.guarded_fleet_allreduce` — a job's
+  allreduce bound to the shared watchdog/retry/surgical-repair guard
+  (:mod:`repro.mpi.guard`) on the shared engine;
 * :class:`~repro.fleet.scheduler.FleetScheduler` — gang scheduling,
   pack/spread placement, priority preemption, seeded-backoff requeue,
   elastic grow-after-shrink and proactive drain/migration;

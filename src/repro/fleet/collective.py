@@ -1,25 +1,17 @@
 """Guarded allreduce for fleet jobs sharing one live engine.
 
-:func:`~repro.mpi.schedule.run_guarded` owns its engine: every attempt
-builds a fresh isolated world and blocks in ``engine.run``.  A fleet job
-cannot do that — it is *one process among many* on the shared cluster
-engine, so its watchdog/retry/repair loop must itself be a generator that
-yields control back to the scheduler's event loop.  This module is that
-generator: the same snapshot/restore, diagnosis, surgical-repair and
-bounded-backoff semantics as ``run_guarded``, re-expressed for a
-persistent world.
-
-The delicate part is *abandoning* a timed-out or preempted attempt
-without poisoning the shared engine.  Interrupting the executor's strand
-processes (never its rank proxies directly) fails each strand with an
-:class:`~repro.sim.engine.Interrupt`; the failure then walks the chain
-strand -> per-rank ``AllOf`` -> rank proxy -> completion ``AllOf``, and
-every hop defuses its child, so no failed event ever reaches
-``engine.step`` unhandled.  The completion gate itself is pre-defused at
-creation: if the job process is interrupted *away* from the gate (a
-preemption landing mid-wait), the gate's later failure is already marked
-handled.  Per-attempt wire tags carry ``(job, iteration, sequence)`` so a
+A fleet job is *one process among many* on the shared cluster engine, so
+it runs the shared guard (:func:`repro.mpi.guard.guard`) with ``yield
+from`` inside its own process instead of driving a private engine.  This
+module supplies the fleet's attempt, which differs from the private one
+of :func:`~repro.mpi.schedule.run_guarded` in four ways (DESIGN §4h):
+pending victims (dead nodes, controlled shrinks, drains) are absorbed
+before each launch; retry backoff is slept in shared simulated time;
+a failed attempt is abandoned by interrupting its strands only; and each
+attempt carries its own ``(job, iteration, sequence)`` wire tag, so a
 stale message from an abandoned attempt can never satisfy a retry's recv.
+Any interrupt other than ``RankFailure`` (a preemption) abandons the
+attempt and propagates to the job program.
 """
 
 from __future__ import annotations
@@ -31,20 +23,16 @@ import numpy as np
 
 from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import ArrayBuffer
-from repro.mpi.schedule import (
-    CollectiveTelemetry,
-    CollectiveTimeout,
-    RankFailure,
-    ScheduleExecutor,
-)
+from repro.mpi.guard import CollectiveTelemetry, guard
+from repro.mpi.schedule import ExecutorAttempt
 from repro.mpi.world import Communicator
-from repro.sim.engine import Event, Interrupt
+from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # circular at runtime: jobs imports this module
     from repro.fleet.cluster import SharedCluster
     from repro.fleet.jobs import FleetJob
 
-__all__ = ["JobLost", "abandon_attempt", "guarded_fleet_allreduce"]
+__all__ = ["JobLost", "guarded_fleet_allreduce"]
 
 
 class JobLost(RuntimeError):
@@ -60,18 +48,58 @@ class _Abandoned(Exception):
     """Interrupt cause delivered to a doomed attempt's strand processes."""
 
 
-def abandon_attempt(executor: ScheduleExecutor) -> None:
-    """Kill a launched attempt's processes without crashing the engine.
+class _FleetAttempt(ExecutorAttempt):
+    """An allreduce attempt over the job's live slots on the shared world."""
 
-    Only *strand* processes are interrupted; each rank proxy then dies of
-    its inner ``AllOf``'s failure, which keeps every ``_resume`` callback
-    attached along the chain so each failure is defused by its consumer.
-    (Interrupting a proxy directly would detach its callback from the
-    inner ``AllOf`` and leave that failure unobserved — an engine crash.)
-    """
-    for proc in executor.strand_procs:
-        if proc.is_alive:
-            proc.interrupt(_Abandoned())
+    sleeps_backoff = True
+
+    def __init__(
+        self, cluster: SharedCluster, job: FleetJob, grads: list[np.ndarray]
+    ) -> None:
+        super().__init__(
+            ALLREDUCE_COMPILERS[job.spec.reducer],
+            [ArrayBuffer(g.copy()) for g in grads],
+            iteration=job.trainer.iteration,
+        )
+        self.cluster = cluster
+        self.job = job
+
+    def next_victim(self) -> int | None:
+        victim = self.job.next_victim()
+        if victim is not None and self.size <= 1:
+            raise JobLost(self.job.spec.name, "last learner's node died")
+        return victim
+
+    def drop(self, rank: int) -> None:
+        super().drop(rank)
+        self.job.drop_slot(rank)
+
+    def launch(self) -> Event:
+        comm = Communicator(self.cluster.world, self.job.placement_ranks())
+        self.tag = (self.job.spec.name, self.iteration, self.job.next_collective_seq())
+        done = self.execute(comm)
+        self.job.active_executor = self.executor
+        return done
+
+    def rollback(self) -> None:
+        # Interrupt only the *strand* processes: each rank proxy then dies
+        # of its inner AllOf's failure, keeping every callback attached
+        # along the chain so each failure is defused by its consumer.
+        # Interrupting a proxy directly would detach its callback from the
+        # inner AllOf and leave that failure unobserved (an engine crash).
+        for proc in self.executor.strand_procs:
+            if proc.is_alive:
+                proc.interrupt(_Abandoned())
+        self._detach()
+        super().rollback()
+
+    def commit(self) -> list[ArrayBuffer]:
+        self._detach()
+        return self.buffers
+
+    def _detach(self) -> None:
+        self.executor.release_observer()
+        self.job.active_executor = None
 
 
 def guarded_fleet_allreduce(
@@ -82,100 +110,11 @@ def guarded_fleet_allreduce(
 ) -> Generator[Event, object, tuple[list[ArrayBuffer], CollectiveTelemetry]]:
     """Generator: sum ``grads`` across ``job``'s live learners, guarded.
 
-    Yields engine events (run it inside the job's process); returns
-    ``(buffers, telemetry)`` exactly like ``run_guarded``.  Differences
-    forced by the shared engine:
-
-    * **pre-launch victims** — nodes that died while the job was computing
-      (no collective in flight to interrupt) are absorbed here, before the
-      attempt launches, through the same ``telemetry.repaired_ranks``
-      bookkeeping as a mid-collective repair;
-    * **mid-attempt crashes** — the scheduler interrupts the victim's rank
-      proxy; the failure arrives at the gate as ``Interrupt(RankFailure)``,
-      the attempt is abandoned, the victim's buffer/snapshot/slot are
-      dropped and the survivor group recompiles;
-    * **real backoff** — retry backoff is slept in shared simulated time
-      (``yield engine.timeout``), not merely accounted, because other jobs
-      keep running through it;
-    * **preemption** — any non-``RankFailure`` interrupt abandons the
-      attempt and propagates to the job program (the scheduler's
-      controlled-fault path), leaving the engine clean.
+    Yields engine events (run it inside the job's process) under
+    ``job.spec.retry``; returns ``(buffers, telemetry)`` like
+    :func:`~repro.mpi.schedule.run_guarded`.
     """
-    engine = cluster.engine
     telemetry = telemetry if telemetry is not None else CollectiveTelemetry()
-    spec = job.spec
-    compiler = ALLREDUCE_COMPILERS[spec.reducer]
-    buffers = [ArrayBuffer(g.copy()) for g in grads]
-    snapshots = [b.extract() for b in buffers]
-    attempts = 0
-    backoff = spec.retry_backoff
-    dirty = False
-    while True:
-        # Absorb every pending victim: dead nodes noticed between
-        # collectives, plus controlled preemption shrinks.
-        victim = job.next_victim()
-        while victim is not None:
-            if len(buffers) <= 1:
-                raise JobLost(spec.name, "last learner's node died")
-            telemetry.repaired_ranks.append(victim)
-            del buffers[victim]
-            del snapshots[victim]
-            job.drop_slot(victim)
-            victim = job.next_victim()
-        if dirty:
-            for buf, snap in zip(buffers, snapshots):
-                buf.copy_(snap)
-            dirty = False
-        n = len(buffers)
-        if n == 1:
-            return buffers, telemetry
-        comm = Communicator(cluster.world, job.placement_ranks())
-        schedule = compiler(n, buffers[0].count, buffers[0].itemsize)
-        tag = (spec.name, job.trainer.iteration, job.next_collective_seq())
-        executor = ScheduleExecutor(comm, schedule, buffers, tag=tag)
-        done = executor.launch()
-        job.active_executor = executor
-        deadline = engine.timeout(spec.collective_timeout)
-        gate = engine.any_of([done, deadline])
-        # If this process gets interrupted away from the gate, the gate's
-        # eventual failure has no waiter left — pre-defuse it.
-        gate.defuse()
-        dirty = True
-        start = engine.now
-        try:
-            yield gate
-        except Interrupt as exc:
-            telemetry.sim_time += engine.now - start
-            abandon_attempt(executor)
-            cause = exc.cause
-            if isinstance(cause, RankFailure):
-                # Surgical repair: a launched attempt has n >= 2, so at
-                # least one survivor remains (a lone survivor is fine —
-                # the n == 1 short-circuit above handles it next pass).
-                telemetry.repaired_ranks.append(cause.rank)
-                del buffers[cause.rank]
-                del snapshots[cause.rank]
-                job.drop_slot(cause.rank)
-                continue
-            raise
-        finally:
-            executor.release_observer()
-            job.active_executor = None
-        telemetry.sim_time += engine.now - start
-        if done.triggered:
-            return buffers, telemetry
-        # Watchdog fired: diagnose the stall (naming the suspect rank and
-        # step), abandon the attempt, back off for real, and retry.
-        diagnosis = executor.diagnose()
-        telemetry.diagnoses.append(diagnosis)
-        abandon_attempt(executor)
-        attempts += 1
-        telemetry.retries += 1
-        if attempts > spec.max_retries:
-            raise CollectiveTimeout(
-                spec.collective_timeout, job.trainer.iteration, attempts, diagnosis
-            )
-        telemetry.backoff += backoff
-        telemetry.sim_time += backoff
-        yield engine.timeout(backoff)
-        backoff *= 2
+    attempt = _FleetAttempt(cluster, job, grads)
+    buffers: list[ArrayBuffer] = yield from guard(attempt, job.spec.retry, telemetry)
+    return buffers, telemetry

@@ -4,8 +4,9 @@ A :class:`FleetJob` wraps one :class:`DistributedSGDTrainer` whose
 compute/apply halves run as a generator process on the shared cluster
 engine; the gradient sum goes through
 :func:`~repro.fleet.collective.guarded_fleet_allreduce` so every job
-independently gets the PR 1/3 watchdog + surgical-repair semantics while
-contending with its neighbours for links and CPUs.
+independently gets the shared guard's watchdog + surgical-repair
+semantics (:mod:`repro.mpi.guard`) while contending with its neighbours
+for links and CPUs.
 
 Fault and preemption semantics:
 
@@ -54,7 +55,7 @@ from repro.data.codec import encode_image
 from repro.data.dimd import DIMDStore
 from repro.fleet.collective import guarded_fleet_allreduce
 from repro.models.nn import Dense, Flatten, Network, ReLU
-from repro.mpi.schedule import CollectiveTelemetry
+from repro.mpi.guard import CollectiveTelemetry, RetryPolicy
 from repro.sim.engine import Event, Interrupt
 
 if TYPE_CHECKING:  # circular at runtime: scheduler imports this module
@@ -96,9 +97,8 @@ class JobSpec:
     n_classes: int = 3
     batch_per_gpu: int = 4
     reducer: str = "multicolor"
-    collective_timeout: float = 5.0
-    max_retries: int = 2
-    retry_backoff: float = 0.05
+    #: Watchdog, retry budget and backoff of every job collective.
+    retry: RetryPolicy = RetryPolicy(timeout=5.0, max_retries=2, backoff=0.05)
     checkpoint_every: int = 2
     checkpoint_time: float = 1e-3
     preemption: str = "requeue"  # "requeue" | "shrink"
@@ -248,7 +248,6 @@ def build_trainer(spec: JobSpec) -> DistributedSGDTrainer:
         seed=spec.seed,
         shuffle_every=None,
         reshuffle_on_shrink=False,
-        collective_repair="surgical",
     )
     return trainer
 
@@ -457,7 +456,7 @@ class FleetJob:
                             # retry the collective (transient specs are
                             # exhausted per attempt), give up if persistent.
                             sdc_retries += 1
-                            if sdc_retries > spec.max_retries:
+                            if sdc_retries > spec.retry.max_retries:
                                 raise SDCDetected(verdict, trainer.iteration)
                             continue
                         # Quarantine each named corrupter before any

@@ -6,12 +6,9 @@ carrying real NumPy payloads so collective *results* are checked against
 ground truth with the very same code that produces collective *timings*.
 """
 
-from repro.mpi.collectives import (
-    ALLREDUCE_ALGORITHMS,
-    ALLREDUCE_COMPILERS,
-    ALLREDUCE_FAMILIES,
-)
+from repro.mpi.collectives import ALLREDUCE_COMPILERS, ALLREDUCE_FAMILIES
 from repro.mpi.datatypes import ArrayBuffer, Buffer, SizeBuffer, chunk_ranges
+from repro.mpi.guard import RetryPolicy
 from repro.mpi.runner import (
     CollectiveOutcome,
     allreduce_throughput,
@@ -35,7 +32,6 @@ from repro.mpi.schedule import (
     SendStep,
     StalledStep,
     diagnose_execution,
-    execute_rank,
     format_schedule,
     memoize_compiler,
     run_guarded,
@@ -44,7 +40,6 @@ from repro.mpi.schedule import (
 from repro.mpi.world import Communicator, Message, MPIWorld
 
 __all__ = [
-    "ALLREDUCE_ALGORITHMS",
     "ALLREDUCE_COMPILERS",
     "ALLREDUCE_FAMILIES",
     "ArrayBuffer",
@@ -61,6 +56,7 @@ __all__ = [
     "RankFailure",
     "RecvReduceStep",
     "ReduceLocalStep",
+    "RetryPolicy",
     "Schedule",
     "ScheduleBuilder",
     "ScheduleError",
@@ -72,7 +68,6 @@ __all__ = [
     "build_world",
     "chunk_ranges",
     "diagnose_execution",
-    "execute_rank",
     "format_schedule",
     "memoize_compiler",
     "run_guarded",

@@ -56,15 +56,9 @@ from repro.data.guard import run_shuffle_guarded
 from repro.data.shuffle import ShuffleProgress, distributed_shuffle
 from repro.mpi.collectives import ALLREDUCE_COMPILERS, ALLREDUCE_FAMILIES
 from repro.mpi.datatypes import ArrayBuffer
+from repro.mpi.guard import CollectiveTelemetry, CollectiveTimeout, RetryPolicy
 from repro.mpi.runner import build_world
-from repro.mpi.schedule import (
-    CollectiveTelemetry,
-    CollectiveTimeout,
-    ExecutionProgress,
-    RankFailure,
-    ScheduleExecutor,
-    run_guarded,
-)
+from repro.mpi.schedule import ExecutionProgress, ScheduleExecutor, run_guarded
 from repro.train.injection import FaultInjector, FaultPlan, FaultSpec
 
 __all__ = [
@@ -335,7 +329,7 @@ def run_point(
     n = point.n_ranks
     inputs = [chaos_input(r, count) for r in range(n)]
     timeout = max(timeout_factor * reference.elapsed, 1e-4)
-    retry_backoff = timeout / 4.0
+    retry = RetryPolicy(timeout, max_retries, backoff=timeout / 4.0)
     if point.kind == "crash":
         spec = FaultSpec("crash", 0, rank=point.rank, at=point.at)
     elif point.kind == "drop":
@@ -363,21 +357,16 @@ def run_point(
         buffers, telemetry = run_guarded(
             ALLREDUCE_COMPILERS[point.algorithm],
             lambda: [ArrayBuffer(a.copy()) for a in inputs],
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
+            retry=retry,
             topology=topology,
             tag=("chaos", point.kind, point.rank),
             fault_injector=injector,
             iteration=0,
             telemetry=telemetry,
-            repair=True,
             **compile_kwargs,
         )
     except CollectiveTimeout as exc:
         return fail(f"retry budget exhausted (possible deadlock): {exc}")
-    except RankFailure as exc:  # pragma: no cover - repair=True absorbs these
-        return fail(f"unrepaired rank failure: {exc}")
 
     fired = bool(injector.events)
     survivors = list(range(n))
@@ -424,7 +413,7 @@ def run_point(
             f"{telemetry.retries} retries but {len(telemetry.diagnoses)} "
             "diagnoses", survivors=survivors, named=named,
         )
-    want_backoff = retry_backoff * (2 ** telemetry.retries - 1)
+    want_backoff = retry.backoff * (2 ** telemetry.retries - 1)
     if abs(telemetry.backoff - want_backoff) > 1e-9 * max(1.0, want_backoff):
         return fail(
             f"backoff {telemetry.backoff:g}s is not the geometric sum "
@@ -649,7 +638,7 @@ def _shuffle_end_state(
         dead = live.pop(victim)
         deal_records(dead, live)
     run_shuffle_guarded(
-        live, seed=SHUFFLE_SEED, round_id=0, timeout=timeout,
+        live, retry=RetryPolicy(timeout), seed=SHUFFLE_SEED, round_id=0,
         topology=topology, max_chunk_bytes=max_chunk_bytes,
     )
     return live
@@ -672,7 +661,7 @@ def run_shuffle_point(
     stores = shuffle_chaos_stores(n, per_rank=per_rank)
     before = _global_multiset(stores)
     timeout = max(timeout_factor * reference.elapsed, 1e-4)
-    retry_backoff = timeout / 4.0
+    retry = RetryPolicy(timeout, max_retries, backoff=timeout / 4.0)
     if point.kind == "crash":
         spec = FaultSpec("crash", 0, rank=point.rank, at=point.at)
     elif point.kind == "drop":
@@ -701,23 +690,18 @@ def run_shuffle_point(
     try:
         run_shuffle_guarded(
             stores,
+            retry=retry,
             seed=SHUFFLE_SEED,
             round_id=0,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
             topology=topology,
             max_chunk_bytes=max_chunk_bytes,
             tag=("chaos", point.kind, point.rank),
             fault_injector=injector,
             iteration=0,
             telemetry=telemetry,
-            repair=True,
         )
     except CollectiveTimeout as exc:
         return fail(f"retry budget exhausted (possible deadlock): {exc}")
-    except RankFailure as exc:  # pragma: no cover - repair=True absorbs these
-        return fail(f"unrepaired rank failure: {exc}")
 
     fired = bool(injector.events)
     survivors = list(range(n))
@@ -779,7 +763,7 @@ def run_shuffle_point(
             f"{telemetry.retries} retries but {len(telemetry.diagnoses)} "
             "diagnoses", survivors=survivors, named=named,
         )
-    want_backoff = retry_backoff * (2 ** telemetry.retries - 1)
+    want_backoff = retry.backoff * (2 ** telemetry.retries - 1)
     if abs(telemetry.backoff - want_backoff) > 1e-9 * max(1.0, want_backoff):
         return fail(
             f"backoff {telemetry.backoff:g}s is not the geometric sum "

@@ -2,15 +2,11 @@
 
 Every fixed-size collective is a *compiler* that emits a
 :class:`~repro.mpi.schedule.Schedule` (a point-to-point step DAG) executed
-by the single :class:`~repro.mpi.schedule.ScheduleExecutor`.  Two parallel
-registries expose them:
-
-* ``ALLREDUCE_ALGORITHMS`` — name -> rank program (generator wrappers with
-  the legacy ``program(comm, rank, buf, tag=...)`` signature, for embedding
-  in larger simulations);
-* ``ALLREDUCE_COMPILERS`` — name -> ``compile(n_ranks, count, itemsize,
-  **kwargs) -> Schedule``, for direct executor-level use (profiling,
-  guarded training collectives, bucketed overlap).
+by the single :class:`~repro.mpi.schedule.ScheduleExecutor`.  One registry
+exposes the allreduces: ``ALLREDUCE_COMPILERS`` maps a name to
+``compile(n_ranks, count, itemsize, **kwargs) -> Schedule``; callers run
+the schedule with ``ScheduleExecutor`` (standalone, guarded, bucketed or
+inside a fleet job).
 
 Registered allreduce algorithms:
 
@@ -24,47 +20,35 @@ Registered allreduce algorithms:
   under their own names for ablations.
 * ``"hierarchical"`` — the 2-D group x cross-group ring.
 * ``"binomial"`` — naive reduce-to-root + broadcast (latency baseline).
+
+Two collectives stay generators because their message sizes depend on
+other ranks' data: :func:`alltoallv` (the shuffle) and
+:func:`ring_allgatherv`.
 """
 
 from repro.mpi.collectives.alltoall import alltoallv, compile_alltoallv
 from repro.mpi.collectives.basic import (
-    binomial_allreduce,
-    binomial_bcast,
-    binomial_reduce,
     compile_binomial_allreduce,
     compile_binomial_bcast,
     compile_binomial_reduce,
     compile_dissemination_barrier,
-    dissemination_barrier,
     ring_allgatherv,
 )
-from repro.mpi.collectives.hierarchical import (
-    compile_hierarchical,
-    hierarchical_allreduce,
-)
+from repro.mpi.collectives.hierarchical import compile_hierarchical
 from repro.mpi.collectives.multicolor import (
     DEFAULT_SEGMENT_BYTES,
     compile_multicolor,
-    multicolor_allreduce,
     segments_of,
 )
 from repro.mpi.collectives.recursive import (
     compile_rabenseifner,
     compile_recursive_doubling,
-    rabenseifner_allreduce,
-    recursive_doubling_allreduce,
 )
-from repro.mpi.collectives.ring import (
-    compile_pipelined_ring,
-    pipelined_ring_allreduce,
-)
+from repro.mpi.collectives.ring import compile_pipelined_ring
 from repro.mpi.collectives.rsag import (
     compile_ring_allgather,
     compile_ring_reduce_scatter,
     compile_rsag,
-    reduce_scatter_allgather_allreduce,
-    ring_allgather,
-    ring_reduce_scatter,
 )
 from repro.mpi.collectives.trees import (
     Tree,
@@ -74,19 +58,7 @@ from repro.mpi.collectives.trees import (
     kary_bfs_tree,
 )
 
-ALLREDUCE_ALGORITHMS = {
-    "multicolor": multicolor_allreduce,
-    "ring": pipelined_ring_allreduce,
-    "rsag": reduce_scatter_allgather_allreduce,
-    "recursive_doubling": recursive_doubling_allreduce,
-    "rabenseifner": rabenseifner_allreduce,
-    "openmpi_default": rabenseifner_allreduce,
-    "hierarchical": hierarchical_allreduce,
-    "binomial": binomial_allreduce,
-}
-
 #: name -> ``compile(n_ranks, count, itemsize, **kwargs) -> Schedule``.
-#: Keys mirror :data:`ALLREDUCE_ALGORITHMS` exactly.
 ALLREDUCE_COMPILERS = {
     "multicolor": compile_multicolor,
     "ring": compile_pipelined_ring,
@@ -108,15 +80,11 @@ ALLREDUCE_FAMILIES = {
 }
 
 __all__ = [
-    "ALLREDUCE_ALGORITHMS",
     "ALLREDUCE_COMPILERS",
     "ALLREDUCE_FAMILIES",
     "DEFAULT_SEGMENT_BYTES",
     "Tree",
     "alltoallv",
-    "binomial_allreduce",
-    "binomial_bcast",
-    "binomial_reduce",
     "binomial_tree",
     "color_trees",
     "compile_alltoallv",
@@ -132,17 +100,8 @@ __all__ = [
     "compile_ring_allgather",
     "compile_ring_reduce_scatter",
     "compile_rsag",
-    "dissemination_barrier",
-    "hierarchical_allreduce",
     "internal_nodes",
     "kary_bfs_tree",
-    "multicolor_allreduce",
-    "pipelined_ring_allreduce",
-    "rabenseifner_allreduce",
-    "recursive_doubling_allreduce",
-    "reduce_scatter_allgather_allreduce",
-    "ring_allgather",
     "ring_allgatherv",
-    "ring_reduce_scatter",
     "segments_of",
 ]

@@ -4,7 +4,7 @@ These are the building blocks the training loop and the DIMD shuffle use
 around the headline allreduce: binomial-tree bcast/reduce (the classical
 MPI algorithms), a dissemination barrier, and the naive
 reduce-then-broadcast allreduce they compose into
-(:func:`binomial_allreduce`, registered as ``"binomial"``).
+(:func:`compile_binomial_allreduce`, registered as ``"binomial"``).
 
 All fixed-size collectives here are schedule compilers; only
 :func:`ring_allgatherv` remains a hand-written generator because its
@@ -16,23 +16,14 @@ from __future__ import annotations
 
 from repro.mpi.collectives.trees import binomial_tree
 from repro.mpi.datatypes import ArrayBuffer, Buffer, SizeBuffer
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    execute_rank,
-    memoize_compiler,
-)
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 from repro.mpi.world import Communicator
 
 __all__ = [
-    "binomial_allreduce",
-    "binomial_bcast",
-    "binomial_reduce",
     "compile_binomial_allreduce",
     "compile_binomial_bcast",
     "compile_binomial_reduce",
     "compile_dissemination_barrier",
-    "dissemination_barrier",
     "ring_allgatherv",
 ]
 
@@ -148,71 +139,6 @@ def compile_dissemination_barrier(n_ranks: int) -> Schedule:
         step <<= 1
         round_no += 1
     return b.build()
-
-
-def binomial_bcast(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    root: int = 0,
-    tag: object = None,
-):
-    """Rank program: broadcast ``buf`` from ``root`` over a binomial tree."""
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_binomial_bcast(n, buf.count, buf.itemsize, root=root)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf
-
-
-def binomial_reduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    root: int = 0,
-    tag: object = None,
-):
-    """Rank program: sum-reduce ``buf`` to ``root`` over a binomial tree.
-
-    Non-root ranks' buffers hold partial sums afterwards (like MPI, only the
-    root's result is defined).
-    """
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_binomial_reduce(n, buf.count, buf.itemsize, root=root)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf
-
-
-def binomial_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    root: int = 0,
-    tag: object = None,
-    segment_bytes: int | None = None,  # accepted for API uniformity; unused
-):
-    """Rank program: binomial reduce-to-root + broadcast allreduce."""
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_binomial_allreduce(n, buf.count, buf.itemsize, root=root)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf
-
-
-def dissemination_barrier(comm: Communicator, rank: int, *, tag: object = None):
-    """Rank program: dissemination barrier (ceil(log2 N) zero-byte rounds)."""
-    n = comm.size
-    if n == 1:
-        return None
-    schedule = compile_dissemination_barrier(n)
-    yield from execute_rank(comm, rank, schedule, None, tag=tag)
 
 
 def ring_allgatherv(

@@ -18,7 +18,7 @@ the ring-phase *emitters* from :mod:`.rsag` into one flat
 just namespaced keys and per-rank dependency chains threading phase 1 into
 phase 2 into phase 3.  Group sizes that do not divide the communicator
 fall back to the flat ring (documented, tested).  Registered as
-``"hierarchical"`` in ``ALLREDUCE_ALGORITHMS``.
+``"hierarchical"`` in ``ALLREDUCE_COMPILERS``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ from repro.mpi.collectives.rsag import (
     emit_ring_allgather,
     emit_ring_reduce_scatter,
 )
-from repro.mpi.datatypes import Buffer, chunk_ranges
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    execute_rank,
-    memoize_compiler,
-)
-from repro.mpi.world import Communicator
+from repro.mpi.datatypes import chunk_ranges
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 
-__all__ = ["hierarchical_allreduce", "compile_hierarchical"]
+__all__ = ["compile_hierarchical"]
 
 
 @memoize_compiler
@@ -109,23 +103,3 @@ def compile_hierarchical(
         entry = [tails[rank] for rank in members]
         emit_ring_allgather(b, members, group_chunks, ("h3", gi), entry)
     return b.build()
-
-
-def hierarchical_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    group_size: int = 4,
-    tag: object = None,
-    segment_bytes: int | None = None,  # accepted for API uniformity; unused
-):
-    """Rank program: 2-D (group x cross-group) ring allreduce."""
-    n = comm.size
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    if n == 1:
-        return buf
-    schedule = compile_hierarchical(n, buf.count, buf.itemsize, group_size=group_size)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf

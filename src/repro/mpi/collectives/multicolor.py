@@ -25,17 +25,10 @@ timing come from one implementation.
 from __future__ import annotations
 
 from repro.mpi.collectives.trees import Tree, color_trees, feasible_colors
-from repro.mpi.datatypes import Buffer, chunk_ranges
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    execute_rank,
-    memoize_compiler,
-)
-from repro.mpi.world import Communicator
+from repro.mpi.datatypes import chunk_ranges
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 
 __all__ = [
-    "multicolor_allreduce",
     "compile_multicolor",
     "segments_of",
     "DEFAULT_SEGMENT_BYTES",
@@ -139,32 +132,3 @@ def compile_multicolor(
                     )
                     deps = [bprev]
     return b.build()
-
-
-def multicolor_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    n_colors: int = 4,
-    arity: int | None = None,
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-    trees: list[Tree] | None = None,
-    tag: object = None,
-):
-    """Rank program: allreduce ``buf`` in place across ``comm``.
-
-    Thin wrapper over :func:`compile_multicolor` +
-    :func:`~repro.mpi.schedule.execute_rank`; the public generator API is
-    unchanged.
-    """
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_multicolor(
-        n, buf.count, buf.itemsize,
-        n_colors=n_colors, arity=arity, segment_bytes=segment_bytes,
-        trees=tuple(trees) if trees is not None else None,
-    )
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf

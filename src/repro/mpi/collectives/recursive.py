@@ -1,13 +1,13 @@
 """Recursive-doubling and Rabenseifner (halving/doubling) allreduce.
 
-:func:`recursive_doubling_allreduce` exchanges the *full* payload in each of
+:func:`compile_recursive_doubling` exchanges the *full* payload in each of
 ``log2 N`` rounds — latency-optimal but bandwidth-poor (``log2(N) * n``
 bytes per rank).  Untuned OpenMPI falls back to this basic algorithm, which
 is why the paper's Figure 5/6 "default OpenMPI" curve trails both the ring
 and the multi-color algorithm at gradient-sized payloads; we therefore use
-it as the *default OpenMPI* model (see :data:`..ALLREDUCE_ALGORITHMS`).
+it as the *default OpenMPI* model (see :data:`..ALLREDUCE_COMPILERS`).
 
-:func:`rabenseifner_allreduce` is the tuned MPICH/OpenMPI large-message
+:func:`compile_rabenseifner` is the tuned MPICH/OpenMPI large-message
 algorithm (recursive *halving* reduce-scatter followed by recursive
 doubling allgather, ``2 n (N-1)/N`` bytes per rank).
 
@@ -20,18 +20,10 @@ core exchange rounds, and the unfold postlude as one per-rank step chain.
 
 from __future__ import annotations
 
-from repro.mpi.datatypes import Buffer, chunk_ranges
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    execute_rank,
-    memoize_compiler,
-)
-from repro.mpi.world import Communicator
+from repro.mpi.datatypes import chunk_ranges
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 
 __all__ = [
-    "recursive_doubling_allreduce",
-    "rabenseifner_allreduce",
     "compile_recursive_doubling",
     "compile_rabenseifner",
 ]
@@ -214,37 +206,3 @@ def compile_rabenseifner(
             mask <<= 1
     _emit_fold_postlude(b, count, prev)
     return b.build()
-
-
-def recursive_doubling_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    tag: object = None,
-    segment_bytes: int | None = None,  # accepted for API uniformity; unused
-):
-    """Rank program: recursive-doubling allreduce (full payload per round)."""
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_recursive_doubling(n, buf.count, buf.itemsize)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf
-
-
-def rabenseifner_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    tag: object = None,
-    segment_bytes: int | None = None,  # accepted for API uniformity; unused
-):
-    """Rank program: recursive halving reduce-scatter + doubling allgather."""
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_rabenseifner(n, buf.count, buf.itemsize)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf

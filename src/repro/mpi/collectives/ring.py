@@ -2,7 +2,7 @@
 
 Two variants:
 
-* :func:`pipelined_ring_allreduce` — the ring the paper implemented as its
+* :func:`compile_pipelined_ring` — the ring the paper implemented as its
   strong baseline (§5.1): "a pipelined ring algorithm where packets are
   reduced to a single root node along the ring then broadcast from the root
   to all peers in the opposite direction".  Segment *s* travels rank
@@ -11,7 +11,7 @@ Two variants:
   of each full-duplex cable, and segments are pipelined so all links stay
   busy.
 
-* :func:`reduce_scatter_allgather_allreduce` (in :mod:`.rsag`) — the
+* :func:`~repro.mpi.collectives.rsag.compile_rsag` — the
   bandwidth-optimal ring used by NCCL/Horovod, provided as an additional
   modern reference point.
 
@@ -25,16 +25,9 @@ hand-off event.
 from __future__ import annotations
 
 from repro.mpi.collectives.multicolor import DEFAULT_SEGMENT_BYTES, segments_of
-from repro.mpi.datatypes import Buffer
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    execute_rank,
-    memoize_compiler,
-)
-from repro.mpi.world import Communicator
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 
-__all__ = ["pipelined_ring_allreduce", "compile_pipelined_ring"]
+__all__ = ["compile_pipelined_ring"]
 
 
 @memoize_compiler
@@ -80,26 +73,3 @@ def compile_pipelined_ring(
                     rank, rank + 1, ("rb", s), slo, shi, deps=deps, note=f"s{s}"
                 )
     return b.build()
-
-
-def pipelined_ring_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-    tag: object = None,
-):
-    """Rank program: the paper's pipelined reduce-to-root ring allreduce.
-
-    Thin wrapper over :func:`compile_pipelined_ring` +
-    :func:`~repro.mpi.schedule.execute_rank`.
-    """
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_pipelined_ring(
-        n, buf.count, buf.itemsize, segment_bytes=segment_bytes
-    )
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf

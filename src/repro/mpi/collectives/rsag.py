@@ -16,19 +16,10 @@ cross-group exchange in between.
 
 from __future__ import annotations
 
-from repro.mpi.datatypes import Buffer, chunk_ranges
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    execute_rank,
-    memoize_compiler,
-)
-from repro.mpi.world import Communicator
+from repro.mpi.datatypes import chunk_ranges
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 
 __all__ = [
-    "reduce_scatter_allgather_allreduce",
-    "ring_reduce_scatter",
-    "ring_allgather",
     "compile_rsag",
     "compile_ring_reduce_scatter",
     "compile_ring_allgather",
@@ -149,56 +140,3 @@ def compile_rsag(
         tails = emit_ring_reduce_scatter(b, members, chunks, ("p1",), [None] * n_ranks)
         emit_ring_allgather(b, members, chunks, ("p2",), tails)
     return b.build()
-
-
-def ring_reduce_scatter(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    tag: object = None,
-):
-    """Rank program: ring reduce-scatter over N equal chunks of ``buf``.
-
-    Returns the chunk index this rank owns (fully reduced) afterwards:
-    ``(rank + 1) mod N``.  Other chunks hold partial sums.
-    """
-    n = comm.size
-    if n == 1:
-        return 0
-    schedule = compile_ring_reduce_scatter(n, buf.count, buf.itemsize)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return (rank + 1) % n
-
-
-def ring_allgather(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    tag: object = None,
-):
-    """Rank program: ring allgather assuming rank owns chunk ``(rank+1) mod N``."""
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_ring_allgather(n, buf.count, buf.itemsize)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf
-
-
-def reduce_scatter_allgather_allreduce(
-    comm: Communicator,
-    rank: int,
-    buf: Buffer,
-    *,
-    tag: object = None,
-    segment_bytes: int | None = None,  # accepted for API uniformity; unused
-):
-    """Rank program: reduce-scatter + allgather ring allreduce in place."""
-    n = comm.size
-    if n == 1:
-        return buf
-    schedule = compile_rsag(n, buf.count, buf.itemsize)
-    yield from execute_rank(comm, rank, schedule, buf, tag=tag)
-    return buf

@@ -1,8 +1,9 @@
 """Standalone drivers: build a world, run a collective, report timing.
 
 These are the entry points the Figure 5 benchmark and the unit tests use.
-Training code instead embeds the rank programs inside its own simulation
-(``yield from multicolor_allreduce(...)``).
+Training code instead runs compiled schedules inside its own simulation
+(a :class:`~repro.mpi.schedule.ScheduleExecutor`, usually under the
+guard in :mod:`repro.mpi.guard`).
 """
 
 from __future__ import annotations

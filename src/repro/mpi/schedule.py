@@ -43,11 +43,9 @@ Executor-layer services
   *proxy* process per rank; fault injectors interrupt the proxies exactly
   as they interrupted generator rank-programs.  Per-rank sent-byte
   accounting taps :attr:`MPIWorld.send_observers` (no monkeypatching).
-* :func:`execute_rank` — a generator adapter so the legacy rank-program
-  API (``program(comm, rank, buf, tag=...)``) keeps working on top of
-  compiled schedules.
-* :func:`run_guarded` — the watchdog/retry/fault-arming loop that used to
-  live inside ``DistributedSGDTrainer._allreduce``, written once here.
+* :func:`run_guarded` — one compiled collective under the shared
+  watchdog/retry/repair loop (:mod:`repro.mpi.guard`), on a fresh
+  private world per attempt.
 * :func:`validate_schedule` — the schedule lint: acyclic (including
   cross-rank message edges), every receive matched by a send, balanced
   per-rank step counts, consistent element ranges.
@@ -66,8 +64,17 @@ from repro.mpi.analytic import (
     AlphaBetaModel,
 )
 from repro.mpi.datatypes import Buffer, SizeBuffer
+from repro.mpi.guard import (
+    Attempt,
+    CollectiveTelemetry,
+    CollectiveTimeout,
+    RankFailure,
+    RetryPolicy,
+    drive,
+    guard,
+)
 from repro.mpi.world import Communicator
-from repro.sim.engine import Interrupt, Process
+from repro.sim.engine import Event, Process
 
 __all__ = [
     "CollectiveTelemetry",
@@ -76,6 +83,7 @@ __all__ = [
     "CopyStep",
     "ExecutionProgress",
     "ExecutionStats",
+    "ExecutorAttempt",
     "FailureDiagnosis",
     "OptimStep",
     "RankFailure",
@@ -88,7 +96,6 @@ __all__ = [
     "ScheduleError",
     "ScheduleExecutor",
     "SendStep",
-    "execute_rank",
     "format_schedule",
     "memoize_compiler",
     "run_guarded",
@@ -98,43 +105,6 @@ __all__ = [
 
 class ScheduleError(ValueError):
     """A schedule failed validation (cycle, unmatched message, bad range)."""
-
-
-class RankFailure(RuntimeError):
-    """Fail-stop: a learner process died and will not come back."""
-
-    def __init__(self, rank: int, when: float = 0.0):
-        super().__init__(f"rank {rank} failed at t={when:.6f}s")
-        self.rank = rank
-        self.when = when
-
-
-class CollectiveTimeout(RuntimeError):
-    """A collective did not complete within the detection deadline.
-
-    Carries the last :class:`FailureDiagnosis` (when progress tracking ran)
-    so the message names the suspected victim rank and step, not just the
-    elapsed time.
-    """
-
-    def __init__(
-        self,
-        timeout: float,
-        iteration: int,
-        attempts: int,
-        diagnosis: "FailureDiagnosis | None" = None,
-    ):
-        msg = (
-            f"collective at iteration {iteration} timed out "
-            f"({timeout:g}s simulated) after {attempts} attempt(s)"
-        )
-        if diagnosis is not None:
-            msg += f"; {diagnosis}"
-        super().__init__(msg)
-        self.timeout = timeout
-        self.iteration = iteration
-        self.attempts = attempts
-        self.diagnosis = diagnosis
 
 
 # -- IR -----------------------------------------------------------------------
@@ -903,23 +873,20 @@ def _perform_step(comm, step, bufmap, tag, stats):
         view = _bind(bufmap, step.buf, step.lo, step.hi)
         view.add_(msg.payload)
         yield from comm.reduce_cpu(step.rank, view.nbytes)
-        if stats is not None:
-            stats.reduced_bytes += view.nbytes
+        stats.reduced_bytes += view.nbytes
     elif isinstance(step, CopyStep):
         msg = yield comm.recv(step.rank, step.src, _wire_key(tag, step.key))
         view = _bind(bufmap, step.buf, step.lo, step.hi)
         if view is not None:
             view.copy_(msg.payload)
             yield from comm.copy_cpu(step.rank, view.nbytes)
-            if stats is not None:
-                stats.copied_bytes += view.nbytes
+            stats.copied_bytes += view.nbytes
     elif isinstance(step, ReduceLocalStep):
         dst = _bind(bufmap, step.buf, step.lo, step.hi)
         src = _bind(bufmap, step.src_buf, step.src_lo, step.src_hi)
         dst.add_(src.extract())
         yield from comm.reduce_cpu(step.rank, dst.nbytes)
-        if stats is not None:
-            stats.reduced_bytes += dst.nbytes
+        stats.reduced_bytes += dst.nbytes
     elif isinstance(step, ComputeStep):
         yield from comm.gpu_compute(step.rank, step.seconds)
         if step.buf is not None and step.src_buf is not None:
@@ -927,8 +894,7 @@ def _perform_step(comm, step, bufmap, tag, stats):
             view = _bind(bufmap, step.buf, step.lo, step.hi)
             src = _bind(bufmap, step.src_buf, step.lo, step.hi)
             view.copy_(src.extract())
-        if stats is not None:
-            stats.compute_seconds += step.seconds
+        stats.compute_seconds += step.seconds
     elif isinstance(step, OptimStep):
         # The gradient is read when the update *starts*: a schedule that
         # lets the optimizer race an in-flight reduction really consumes
@@ -939,8 +905,7 @@ def _perform_step(comm, step, bufmap, tag, stats):
         if step.dst_buf is not None:
             dst = _bind(bufmap, step.dst_buf, step.lo, step.hi)
             dst.copy_(data)
-        if stats is not None:
-            stats.compute_seconds += step.seconds
+        stats.compute_seconds += step.seconds
     else:  # pragma: no cover - new step types must be handled here
         raise ScheduleError(f"unknown step type {type(step).__name__}")
 
@@ -996,25 +961,23 @@ def _partition_strands(steps):
     return strands
 
 
-def _strand_program(comm, entries, bufmap, tag, stats, done, progress=None):
+def _strand_program(comm, entries, bufmap, tag, stats, done, progress):
     """One sim process per strand: run its steps back-to-back.
 
     ``done`` maps the sids that other strands depend on to completion
     events; a step waits on its cross-strand deps before running and
     triggers its own event (if anyone waits on it) right after — the same
     single event hand-off the legacy generators used between phases.
-    ``progress`` (when given) is notified synchronously as each step starts
-    and finishes; the calls add no events, so timing is unchanged.
+    ``progress`` is notified synchronously as each step starts and
+    finishes; the calls add no events, so timing is unchanged.
     """
     engine = comm.engine
     for step, cross in entries:
         for d in cross:
             yield done[d]  # already-triggered events resume immediately
-        if progress is not None:
-            progress.begin(step, engine.now)
+        progress.begin(step, engine.now)
         yield from _perform_step(comm, step, bufmap, tag, stats)
-        if progress is not None:
-            progress.finish(step, engine.now)
+        progress.finish(step, engine.now)
         ev = done.get(step.sid)
         if ev is not None:
             ev.succeed()
@@ -1026,8 +989,8 @@ def _spawn_rank_steps(
     schedule: Schedule,
     bufmap: dict[str, Buffer],
     tag: object,
-    stats: ExecutionStats | None,
-    progress: ExecutionProgress | None = None,
+    stats: ExecutionStats,
+    progress: ExecutionProgress,
 ) -> list[Process]:
     """Create one process per dependency strand owned by ``rank``."""
     engine = comm.engine
@@ -1062,34 +1025,6 @@ def _check_binding(schedule: Schedule, bufmap: dict[str, Buffer]) -> None:
                 f"buffer holds {b.count} elements but schedule "
                 f"{schedule.name!r} was compiled for {schedule.count}"
             )
-
-
-def execute_rank(
-    comm: Communicator,
-    rank: int,
-    schedule: Schedule,
-    buf: Buffer | dict[str, Buffer] | None,
-    *,
-    tag: object = None,
-    stats: ExecutionStats | None = None,
-):
-    """Rank-program generator: run ``rank``'s slice of ``schedule``.
-
-    This is the adapter that keeps the legacy collective API alive: the
-    public wrappers in :mod:`repro.mpi.collectives` compile a schedule and
-    ``yield from`` this generator, so existing callers (tests, the shuffle,
-    fault-injection harnesses) see the same generator protocol as before.
-    """
-    if schedule.n_ranks != comm.size:
-        raise ScheduleError(
-            f"schedule {schedule.name!r} is for {schedule.n_ranks} ranks; "
-            f"communicator has {comm.size}"
-        )
-    bufmap = _as_bufmap(buf)
-    _check_binding(schedule, bufmap)
-    procs = _spawn_rank_steps(comm, rank, schedule, bufmap, tag, stats)
-    if procs:
-        yield comm.engine.all_of(procs)
 
 
 def _rank_proxy(engine, step_procs):
@@ -1211,142 +1146,111 @@ class ScheduleExecutor:
         )
 
 
-# -- guarded execution (watchdog / retry / fault arming) ----------------------
+# -- guarded execution (watchdog / retry / surgical repair) -------------------
 
-@dataclass
-class CollectiveTelemetry:
-    """What one guarded collective cost: time, retries, faults observed.
+class ExecutorAttempt(Attempt[list[Buffer]]):
+    """Guard attempt for a compiled collective over per-rank buffers.
 
-    ``diagnoses`` collects one :class:`FailureDiagnosis` per watchdog
-    timeout; ``repaired_ranks`` lists the *group rank at failure time* of
-    every victim surgically repaired around (in repair order — callers
-    replay the pops against their own slot bookkeeping).
+    Every rank's input is snapshotted once and restored on rollback, so a
+    retried attempt starts from pristine inputs even when the failed one
+    had already merged partial ``RecvReduceStep`` results (a re-run from
+    the dirty buffers would double-reduce them).  Each launch compiles
+    ``compiler(n, count, itemsize, **compile_kwargs)`` (cached) for the
+    current group on a fresh world of its own; dropping a victim removes
+    its buffer and snapshot.
     """
 
-    sim_time: float = 0.0
-    retries: int = 0
-    backoff: float = 0.0
-    fault_events: list = field(default_factory=list)
-    diagnoses: list = field(default_factory=list)
-    repaired_ranks: list = field(default_factory=list)
+    def __init__(
+        self,
+        compiler: Callable[..., Schedule],
+        buffers: list[Buffer],
+        *,
+        compile_kwargs: dict[str, Any] | None = None,
+        topology: str = "star",
+        tag: object = None,
+        fault_injector=None,
+        iteration: int = 0,
+    ):
+        super().__init__(fault_injector=fault_injector, iteration=iteration)
+        self.compiler = compiler
+        self.compile_kwargs = compile_kwargs or {}
+        self.buffers = list(buffers)
+        self.snapshots = [b.extract() for b in self.buffers]
+        self.topology = topology
+        self.tag = tag
+        self.executor: ScheduleExecutor | None = None
 
     @property
-    def repairs(self) -> int:
-        """Surgical in-attempt repairs performed (permanent rank losses)."""
-        return len(self.repaired_ranks)
+    def size(self) -> int:
+        return len(self.buffers)
+
+    def drop(self, rank: int) -> None:
+        del self.buffers[rank]
+        del self.snapshots[rank]
+
+    def solo(self) -> list[Buffer]:
+        return self.buffers
+
+    commit = solo
+
+    def launch(self) -> Event:
+        from repro.mpi.runner import build_world  # local import: avoids a cycle
+
+        engine, world, comm = build_world(self.size, topology=self.topology)
+        done = self.execute(comm)
+        self.arm(engine, world, self.executor.rank_procs)
+        return done
+
+    def execute(self, comm: Communicator) -> Event:
+        """Compile for the current group and launch on ``comm``."""
+        first = self.buffers[0]
+        schedule = self.compiler(
+            self.size, first.count, first.itemsize, **self.compile_kwargs
+        )
+        self.executor = ScheduleExecutor(comm, schedule, self.buffers, tag=self.tag)
+        return self.executor.launch()
+
+    def diagnose(self, failure: Exception | None) -> FailureDiagnosis | None:
+        return self.executor.diagnose() if failure is None else None
+
+    def rollback(self) -> None:
+        for buf, snap in zip(self.buffers, self.snapshots):
+            buf.copy_(snap)
 
 
 def run_guarded(
     compiler: Callable[..., Schedule],
     make_buffers: Callable[[], list[Buffer]],
     *,
-    timeout: float,
-    max_retries: int = 3,
-    retry_backoff: float = 0.5,
+    retry: RetryPolicy,
     topology: str = "star",
     tag: object = None,
     fault_injector=None,
     iteration: int = 0,
     telemetry: CollectiveTelemetry | None = None,
-    repair: bool = False,
-    model: AlphaBetaModel | None = None,
-    deadline_grace: float | None = None,
     **compile_kwargs,
 ) -> tuple[list[Buffer], CollectiveTelemetry]:
-    """Run one collective under a watchdog with bounded-backoff retries.
+    """Run one compiled collective under :func:`~repro.mpi.guard.guard`.
 
-    This is the failure-detection loop that previously lived inside
-    ``DistributedSGDTrainer._allreduce``, hoisted to the executor layer so
-    every schedule-compiled collective gets it for free:
+    ``make_buffers()`` is called once.  Each attempt builds a fresh world
+    on ``topology``, compiles the collective for the live group, arms
+    ``fault_injector`` against the executor's rank proxies and races
+    completion against ``retry.timeout``.  A watchdog stall is diagnosed
+    from the executor's progress state and retried with backoff accounted
+    in simulated time; a ``RankFailure`` drops the victim and recompiles
+    for the survivors (``telemetry.repaired_ranks``).
 
-    * ``make_buffers()`` is called **once**; each rank's input is
-      snapshotted up front and restored before every re-run.  A retried
-      attempt therefore starts from the pristine inputs even when the
-      previous attempt had already merged partial ``RecvReduceStep``
-      results into the buffers — without the restore, a re-run
-      double-reduces those segments and silently corrupts the sum;
-    * each attempt builds a fresh world, compiles via ``compiler(n, count,
-      itemsize, **compile_kwargs)`` (cached), arms ``fault_injector``
-      against the executor's rank proxies, and races completion against
-      ``timeout``;
-    * a watchdog timeout records a :class:`FailureDiagnosis` from the
-      executor's progress state (naming the suspected victim rank/link)
-      and retries up to ``max_retries`` times with exponential backoff
-      (accounted in simulated time), then raises
-      :class:`CollectiveTimeout` carrying the last diagnosis;
-    * a crash surfaces as :class:`RankFailure`.  With ``repair=False``
-      (default) the failure propagates — policy stays with the caller.
-      With ``repair=True`` the diagnosed victim is repaired *surgically*:
-      its buffer and snapshot are dropped, the collective is recompiled
-      for the survivor group, and the same guarded attempt resumes from
-      the restored inputs.  Repairs consume no retry budget (a diagnosed
-      permanent loss is not a suspected transient) and are reported in
-      ``telemetry.repaired_ranks``.
-
-    Returns ``(buffers, telemetry)`` for the successful attempt;
-    ``telemetry`` is updated in place even when an exception is raised, so
-    callers can account partial attempts.
+    Returns ``(buffers, telemetry)`` for the survivors of the successful
+    attempt; ``telemetry`` is updated in place even when an exception is
+    raised, so callers can account partial attempts.
     """
-    from repro.mpi.runner import build_world  # local import: avoids a cycle
-
     telemetry = telemetry if telemetry is not None else CollectiveTelemetry()
-    buffers = list(make_buffers())
-    snapshots = [b.extract() for b in buffers]
-    attempts = 0
-    backoff = retry_backoff
-    dirty = False  # buffers may hold partial results from a failed run
-    while True:
-        if dirty:
-            for buf, snap in zip(buffers, snapshots):
-                buf.copy_(snap)
-            dirty = False
-        n = len(buffers)
-        if n == 1:
-            return buffers, telemetry
-        engine, world, comm = build_world(n, topology=topology)
-        schedule = compiler(n, buffers[0].count, buffers[0].itemsize, **compile_kwargs)
-        executor = ScheduleExecutor(comm, schedule, buffers, tag=tag)
-        done = executor.launch()
-        mark = len(fault_injector.events) if fault_injector is not None else 0
-        if fault_injector is not None:
-            fault_injector.arm(engine, world, executor.rank_procs, iteration)
-        deadline = engine.timeout(timeout)
-        dirty = True
-        try:
-            engine.run(engine.any_of([done, deadline]))
-        except Interrupt as exc:
-            telemetry.sim_time += engine.now
-            if fault_injector is not None:
-                telemetry.fault_events.extend(fault_injector.events_since(mark))
-            cause = exc.cause
-            if isinstance(cause, RankFailure) and repair:
-                # Surgical repair: drop the diagnosed victim's buffer and
-                # snapshot, recompile for the survivor communicator, and
-                # resume within this guarded attempt.
-                telemetry.repaired_ranks.append(cause.rank)
-                del buffers[cause.rank]
-                del snapshots[cause.rank]
-                continue
-            if isinstance(cause, RankFailure):
-                raise cause from exc
-            raise
-        telemetry.sim_time += engine.now
-        if fault_injector is not None:
-            telemetry.fault_events.extend(fault_injector.events_since(mark))
-        if done.triggered:
-            return buffers, telemetry
-        # Watchdog fired first: diagnose the stall from the executor's
-        # progress state, then retry (transient fault suspected) with
-        # bounded exponential backoff (accounted in simulated time).
-        diagnosis = executor.diagnose(model=model, grace=deadline_grace)
-        telemetry.diagnoses.append(diagnosis)
-        attempts += 1
-        telemetry.retries += 1
-        if attempts > max_retries:
-            raise CollectiveTimeout(timeout, iteration, attempts, diagnosis)
-        telemetry.backoff += backoff
-        telemetry.sim_time += backoff
-        backoff *= 2
+    attempt = ExecutorAttempt(
+        compiler, make_buffers(), compile_kwargs=compile_kwargs,
+        topology=topology, tag=tag, fault_injector=fault_injector,
+        iteration=iteration,
+    )
+    return drive(guard(attempt, retry, telemetry)), telemetry
 
 
 # -- compiler caching ---------------------------------------------------------

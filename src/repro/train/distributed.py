@@ -47,9 +47,10 @@ from repro.dpt.table import (
     _DataParallelTableBase,
 )
 from repro.models.nn.network import Network
-from repro.mpi.collectives import ALLREDUCE_ALGORITHMS, ALLREDUCE_COMPILERS
+from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import ArrayBuffer
-from repro.mpi.schedule import CollectiveTelemetry, RankFailure, run_guarded
+from repro.mpi.guard import CollectiveTelemetry, RankFailure, RetryPolicy
+from repro.mpi.schedule import run_guarded
 from repro.train.injection import FaultEvent, FaultInjector, FaultPlan
 from repro.train.schedule import WarmupStepSchedule
 from repro.utils.rng import rng_for
@@ -91,12 +92,9 @@ class DistributedSGDTrainer:
         seed: int = 0,
         shuffle_every: int | None = None,
         fault_plan: FaultPlan | None = None,
-        collective_timeout: float = 60.0,
-        max_retries: int = 3,
-        retry_backoff: float = 0.5,
+        retry: RetryPolicy | None = None,
         lr_rescale: str = "linear",
         reshuffle_on_shrink: bool = True,
-        collective_repair: str = "surgical",
         topology: str = "star",
         step_dag: bool = False,
         step_fwd_time: float = 0.0,
@@ -117,7 +115,7 @@ class DistributedSGDTrainer:
             One DIMD store per learner.
         reducer:
             ``"exact"`` for direct NumPy summation, or any name in
-            :data:`~repro.mpi.collectives.ALLREDUCE_ALGORITHMS` to push the
+            :data:`~repro.mpi.collectives.ALLREDUCE_COMPILERS` to push the
             gradients through the simulated MPI.
         shuffle_every:
             If set, run the Algorithm 2 distributed shuffle across learners
@@ -125,15 +123,16 @@ class DistributedSGDTrainer:
         fault_plan:
             Faults to inject into the simulated collectives (requires a
             simulated ``reducer``, not ``"exact"``).
-        collective_timeout:
-            Simulated seconds before an unfinished collective is declared
-            lost and retried (the failure detector).
-        max_retries:
-            Transient-fault retry budget per iteration; exceeding it raises
-            :class:`~repro.train.injection.CollectiveTimeout`.
-        retry_backoff:
-            Simulated seconds of backoff before the first retry; doubles on
-            each subsequent retry (bounded by ``max_retries``).
+        retry:
+            The watchdog deadline, transient-fault retry budget and
+            geometric backoff of every guarded collective (allreduce and
+            shuffle); defaults to :class:`~repro.mpi.guard.RetryPolicy`'s
+            60 s / 3 retries / 0.5 s.  Exhausting the budget raises
+            :class:`~repro.train.injection.CollectiveTimeout`.  A permanent
+            rank loss is always repaired surgically inside the guarded
+            collective (the survivor group is recompiled and the attempt
+            resumes from snapshotted inputs); the trainer absorbs the dead
+            learner's state afterwards.
         lr_rescale:
             ``"linear"`` rescales the schedule's worker count after an
             elastic shrink (linear-scaling rule follows the smaller
@@ -141,13 +140,6 @@ class DistributedSGDTrainer:
         reshuffle_on_shrink:
             After absorbing a dead learner's records, rebalance survivor
             partitions with the Algorithm 2 distributed shuffle.
-        collective_repair:
-            ``"surgical"`` (default) repairs a diagnosed permanent rank
-            loss inside the guarded collective — the survivor group is
-            recompiled and the attempt resumes from snapshotted inputs,
-            then the trainer absorbs the dead learner's state afterwards.
-            ``"restart"`` keeps the legacy path: the failure bubbles up and
-            the whole collective restarts after the elastic shrink.
         topology:
             Fabric the simulated collectives (allreduce *and* shuffle) run
             on: ``"star"`` (default), ``"ring"``, ``"full_mesh"`` or
@@ -194,10 +186,10 @@ class DistributedSGDTrainer:
         """
         if not stores:
             raise ValueError("need at least one learner store")
-        if reducer != "exact" and reducer not in ALLREDUCE_ALGORITHMS:
+        if reducer != "exact" and reducer not in ALLREDUCE_COMPILERS:
             raise ValueError(
                 f"unknown reducer {reducer!r}; use 'exact' or one of "
-                f"{sorted(ALLREDUCE_ALGORITHMS)}"
+                f"{sorted(ALLREDUCE_COMPILERS)}"
             )
         if dpt_variant not in ("baseline", "optimized"):
             raise ValueError(f"unknown dpt_variant {dpt_variant!r}")
@@ -210,12 +202,6 @@ class DistributedSGDTrainer:
             )
         if lr_rescale not in ("linear", "none"):
             raise ValueError(f"unknown lr_rescale {lr_rescale!r}")
-        if collective_repair not in ("surgical", "restart"):
-            raise ValueError(f"unknown collective_repair {collective_repair!r}")
-        if collective_timeout <= 0:
-            raise ValueError("collective_timeout must be positive")
-        if max_retries < 0 or retry_backoff < 0:
-            raise ValueError("max_retries and retry_backoff must be >= 0")
         if step_dag and reducer == "exact":
             raise ValueError(
                 "step_dag compiles compute+comm into one simulated "
@@ -260,12 +246,9 @@ class DistributedSGDTrainer:
         self.shuffle_every = shuffle_every
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.collective_timeout = collective_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
+        self.retry = retry if retry is not None else RetryPolicy()
         self.lr_rescale = lr_rescale
         self.reshuffle_on_shrink = reshuffle_on_shrink
-        self.collective_repair = collective_repair
         self.topology = topology
         self.step_dag = step_dag
         self.step_fwd_time = step_fwd_time
@@ -413,62 +396,54 @@ class DistributedSGDTrainer:
         :func:`~repro.data.guard.run_shuffle_guarded` on the trainer's
         configured fabric: a transactional exchange under a watchdog, with
         transient faults (lost/delayed/corrupted messages) retried from the
-        rolled-back snapshots and permanent rank losses absorbed the same
-        way the gradient allreduce absorbs them — surgically (the guard
-        deals the victim's records to the survivors and re-runs the round
-        over the survivor group) or via restart (the failure bubbles up,
-        the trainer shrinks, and the round reruns).  Telemetry folds into
-        the current step's stats alongside the allreduce's.
+        rolled-back snapshots and permanent rank losses repaired the same
+        way the gradient allreduce repairs them: the guard deals the
+        victim's records to the survivors and re-runs the round over the
+        survivor group.  Telemetry folds into the current step's stats
+        alongside the allreduce's.
         """
         round_id = self._shuffle_round
         telemetry = CollectiveTelemetry()
-        surgical = self.collective_repair == "surgical"
-        repaired_handled = 0
         try:
-            while True:
-                try:
-                    run_shuffle_guarded(
-                        self.stores,
-                        seed=self.seed,
-                        round_id=round_id,
-                        timeout=self.collective_timeout,
-                        max_retries=self.max_retries,
-                        retry_backoff=self.retry_backoff,
-                        topology=self.topology,
-                        tag=("sh", round_id),
-                        fault_injector=self.fault_injector,
-                        iteration=self.iteration,
-                        telemetry=telemetry,
-                        repair=surgical,
-                    )
-                except RankFailure as failure:
-                    # restart mode: shrink (the round itself rebalances the
-                    # survivors, so no nested reshuffle), then rerun the
-                    # same round over the survivor group.
-                    self._shrink_state(failure.rank, reshuffle=False)
-                    continue
-                # surgical mode: the guard already dealt each victim's
-                # records — absorb the rest of its learner state now.
-                for victim in telemetry.repaired_ranks[repaired_handled:]:
-                    repaired_handled += 1
-                    self._shrink_state(victim, records_dealt=True)
-                self._shuffle_round += 1
-                return
+            run_shuffle_guarded(
+                self.stores,
+                retry=self.retry,
+                seed=self.seed,
+                round_id=round_id,
+                topology=self.topology,
+                tag=("sh", round_id),
+                fault_injector=self.fault_injector,
+                iteration=self.iteration,
+                telemetry=telemetry,
+            )
         finally:
-            stats = self._step_stats
-            stats.sim_time += telemetry.sim_time
-            stats.retries += telemetry.retries
-            stats.backoff += telemetry.backoff
-            stats.fault_events.extend(telemetry.fault_events)
-            for diag in telemetry.diagnoses:
-                kind = "corruption" if diag.cause == "corruption" else "stall"
-                event = FaultEvent(
-                    kind, self.iteration, diag.suspect_rank, diag.now,
-                    str(diag), step=diag.suspect_step,
-                )
-                stats.fault_events.append(event)
-                if self.fault_injector is not None:
-                    self.fault_injector.record(event)
+            self._fold(telemetry)
+        # The guard already dealt each victim's records — absorb the rest
+        # of its learner state now.
+        for victim in telemetry.repaired_ranks:
+            self._shrink_state(victim, records_dealt=True)
+        self._shuffle_round += 1
+
+    def _fold(self, telemetry: CollectiveTelemetry) -> None:
+        """Fold one guarded collective's telemetry into the step's stats.
+
+        Each diagnosis surfaces in the fault log named after the suspected
+        victim rank and step.
+        """
+        stats = self._step_stats
+        stats.sim_time += telemetry.sim_time
+        stats.retries += telemetry.retries
+        stats.backoff += telemetry.backoff
+        stats.fault_events.extend(telemetry.fault_events)
+        for diag in telemetry.diagnoses:
+            kind = "corruption" if diag.cause == "corruption" else "stall"
+            event = FaultEvent(
+                kind, self.iteration, diag.suspect_rank, diag.now,
+                str(diag), step=diag.suspect_step,
+            )
+            stats.fault_events.append(event)
+            if self.fault_injector is not None:
+                self.fault_injector.record(event)
 
     def grow_learner(self, learner_id: int | None = None) -> int:
         """Elastic grow: the inverse of the elastic shrink.
@@ -609,11 +584,10 @@ class DistributedSGDTrainer:
         """
         if self.reducer == "exact" or self.n_learners == 1:
             return np.sum(grads, axis=0), len(grads)
-        # The watchdog/retry/diagnosis/repair loop lives at the executor
-        # layer (run_guarded); the trainer keeps only the shrink policy.
+        # The watchdog/retry/diagnosis/repair loop is the shared guard
+        # (run_guarded); the trainer keeps only the shrink policy.
         compiler = self._step_compiler()
         telemetry = CollectiveTelemetry()
-        surgical = self.collective_repair == "surgical"
         repaired_handled = 0
         guard = pre = None
         sdc_retries = 0
@@ -638,31 +612,18 @@ class DistributedSGDTrainer:
                 self._step_stats.fault_events.extend(fired)
         try:
             while True:
-                try:
-                    buffers, _ = run_guarded(
-                        compiler,
-                        lambda: [ArrayBuffer(g.copy()) for g in grads],
-                        timeout=self.collective_timeout,
-                        max_retries=self.max_retries,
-                        retry_backoff=self.retry_backoff,
-                        topology=self.topology,
-                        tag=("it", self.iteration),
-                        fault_injector=self.fault_injector,
-                        iteration=self.iteration,
-                        telemetry=telemetry,
-                        repair=surgical,
-                    )
-                except RankFailure as failure:
-                    # restart mode: full shrink, then rerun from scratch.
-                    grads = self._shrink(failure.rank, grads)
-                    if pre is not None:
-                        pre = [
-                            fp for slot, fp in enumerate(pre)
-                            if slot != failure.rank
-                        ]
-                    continue
-                # surgical mode: the collective already completed on the
-                # survivor group — absorb each victim's learner state now.
+                buffers, _ = run_guarded(
+                    compiler,
+                    lambda: [ArrayBuffer(g.copy()) for g in grads],
+                    retry=self.retry,
+                    topology=self.topology,
+                    tag=("it", self.iteration),
+                    fault_injector=self.fault_injector,
+                    iteration=self.iteration,
+                    telemetry=telemetry,
+                )
+                # The collective already completed on the survivor group —
+                # absorb each victim's learner state now.
                 new_victims = telemetry.repaired_ranks[repaired_handled:]
                 for victim in new_victims:
                     repaired_handled += 1
@@ -727,25 +688,11 @@ class DistributedSGDTrainer:
                 if self.fault_injector is not None:
                     self.fault_injector.record(event)
                 sdc_retries += 1
-                if sdc_retries > self.max_retries:
+                if sdc_retries > self.retry.max_retries:
                     raise SDCDetected(verdict, self.iteration)
                 self._step_stats.retries += 1
         finally:
-            stats = self._step_stats
-            stats.sim_time += telemetry.sim_time
-            stats.retries += telemetry.retries
-            stats.backoff += telemetry.backoff
-            stats.fault_events.extend(telemetry.fault_events)
-            # Surface each watchdog diagnosis in the fault log, named after
-            # the suspected victim rank and step.
-            for diag in telemetry.diagnoses:
-                event = FaultEvent(
-                    "stall", self.iteration, diag.suspect_rank, diag.now,
-                    str(diag), step=diag.suspect_step,
-                )
-                stats.fault_events.append(event)
-                if self.fault_injector is not None:
-                    self.fault_injector.record(event)
+            self._fold(telemetry)
 
     def _recompute_grad(self, slot: int, lo: int, hi: int) -> np.ndarray:
         """Deterministically regenerate one learner's gradient window.
@@ -758,16 +705,6 @@ class DistributedSGDTrainer:
         images, labels = self.stores[slot].random_batch(self.node_batch, rng)
         _, grads = self.tables[slot].forward_backward(images, labels)
         return grads[lo:hi]
-
-    def _shrink(self, lost_slot: int, grads: list[np.ndarray]) -> list[np.ndarray]:
-        """Elastic recovery from a permanent rank loss (restart mode).
-
-        The lost learner's gradient contribution for the current iteration
-        is gone — the global batch shrinks for good — and the collective
-        restarts from scratch on the survivors.
-        """
-        self._shrink_state(lost_slot)
-        return [g for slot, g in enumerate(grads) if slot != lost_slot]
 
     def _shrink_state(
         self,
@@ -782,8 +719,8 @@ class DistributedSGDTrainer:
         survivors (then rebalanced with the Algorithm 2 shuffle), its table
         is released, and the LR schedule is rescaled to the new effective
         batch.  ``lost_slot`` is the victim's slot (group rank) at failure
-        time — in surgical mode the executor reports victims in repair
-        order, so sequential pops here stay aligned with its group ranks.
+        time — the guard reports victims in repair order, so sequential
+        pops here stay aligned with its group ranks.
 
         ``records_dealt=True`` means the guarded shuffle already dealt the
         victim's records to the survivor stores (shared objects), so only

@@ -122,9 +122,8 @@ FAULT_KINDS: dict[str, FaultKind] = {
 
 _KINDS = tuple(FAULT_KINDS)
 
-# RankFailure / CollectiveTimeout now live at the executor layer
-# (repro.mpi.schedule) where the watchdog and retry logic runs; they are
-# re-exported here for backward compatibility.
+# RankFailure / CollectiveTimeout live with the watchdog and retry logic
+# (repro.mpi.guard); they are re-exported here for backward compatibility.
 
 
 @dataclass

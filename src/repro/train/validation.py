@@ -18,9 +18,10 @@ import numpy as np
 from repro.cluster.gpu import GPUComputeModel
 from repro.data.synthetic import DatasetSpec
 from repro.models.descriptors import ModelDescriptor
-from repro.mpi.collectives.basic import binomial_reduce
+from repro.mpi.collectives.basic import compile_binomial_reduce
 from repro.mpi.datatypes import ArrayBuffer
 from repro.mpi.runner import build_world
+from repro.mpi.schedule import ScheduleExecutor
 
 __all__ = ["ValidationTimeModel", "distributed_accuracy"]
 
@@ -85,16 +86,10 @@ def distributed_accuracy(
             np.array([float(np.sum(preds == labels[shard])), float(len(shard))])
         )
 
-    engine, _world, comm = build_world(n, topology="star")
+    _engine, _world, comm = build_world(n, topology="star")
     buffers = [ArrayBuffer(c.copy()) for c in counts]
-    procs = [
-        engine.process(
-            binomial_reduce(comm, r, buffers[r], root=0, tag="val"),
-            name=f"val{r}",
-        )
-        for r in range(n)
-    ]
-    engine.run(engine.all_of(procs))
+    schedule = compile_binomial_reduce(n, 2, buffers[0].itemsize)
+    ScheduleExecutor(comm, schedule, buffers, tag="val").run()
     correct, total = buffers[0].array
     if total == 0:
         raise ValueError("empty validation set")

@@ -7,7 +7,7 @@ from repro.data import DIMDStore, deal_records, run_shuffle_guarded
 from repro.data.codec import encode_image
 from repro.data.guard import diagnose_shuffle
 from repro.data.shuffle import ShuffleProgress
-from repro.mpi.schedule import CollectiveTimeout
+from repro.mpi.guard import CollectiveTimeout, RetryPolicy
 from repro.train.injection import (
     FaultInjector,
     FaultPlan,
@@ -43,7 +43,7 @@ def expected_survivor_state(n_ranks, per_rank, victims, *, seed_data, seed):
     for v in victims:
         dead = live.pop(v)
         deal_records(dead, live)
-    run_shuffle_guarded(live, seed=seed, round_id=0, timeout=60.0)
+    run_shuffle_guarded(live, retry=RetryPolicy(), seed=seed, round_id=0)
     return live
 
 
@@ -51,7 +51,7 @@ def test_guarded_shuffle_fault_free():
     stores = make_stores(3, 6, seed=1)
     before = global_multiset(stores)
     reports, telemetry = run_shuffle_guarded(
-        stores, seed=5, round_id=0, timeout=60.0
+        stores, retry=RetryPolicy(), seed=5, round_id=0
     )
     assert len(reports) == 3
     assert all(r.elapsed > 0 for r in reports)
@@ -65,7 +65,7 @@ def test_guarded_shuffle_single_store_local_permute():
     stores = make_stores(1, 6, seed=1)
     before = global_multiset(stores)
     reports, telemetry = run_shuffle_guarded(
-        stores, seed=5, round_id=0, timeout=60.0
+        stores, retry=RetryPolicy(), seed=5, round_id=0
     )
     assert len(reports) == 1 and reports[0].elapsed == 0.0
     assert global_multiset(stores) == before
@@ -76,7 +76,7 @@ def test_crash_repairs_and_matches_fault_free_survivor_shuffle():
     before = global_multiset(stores)
     injector = FaultInjector(FaultPlan([crash(1, 0)]))
     reports, telemetry = run_shuffle_guarded(
-        stores, seed=9, round_id=0, timeout=60.0,
+        stores, retry=RetryPolicy(), seed=9, round_id=0,
         fault_injector=injector, iteration=0,
     )
     assert telemetry.repaired_ranks == [1]
@@ -98,7 +98,7 @@ def test_drop_rolls_back_and_retries_to_fault_free_result():
     before = global_multiset(stores)
     injector = FaultInjector(FaultPlan([drop_messages(0, rank=1, count=1)]))
     reports, telemetry = run_shuffle_guarded(
-        stores, seed=11, round_id=0, timeout=1.0, retry_backoff=0.25,
+        stores, retry=RetryPolicy(1.0, backoff=0.25), seed=11, round_id=0,
         fault_injector=injector, iteration=0,
     )
     assert telemetry.retries == 1
@@ -118,7 +118,7 @@ def test_corrupt_rolls_back_and_retries_with_corruption_diagnosis():
     before = global_multiset(stores)
     injector = FaultInjector(FaultPlan([corrupt_messages(0, rank=2, count=1)]))
     reports, telemetry = run_shuffle_guarded(
-        stores, seed=13, round_id=0, timeout=60.0, retry_backoff=0.25,
+        stores, retry=RetryPolicy(backoff=0.25), seed=13, round_id=0,
         fault_injector=injector, iteration=0,
     )
     assert telemetry.retries == 1
@@ -143,8 +143,8 @@ def test_exhausted_retries_leave_stores_pristine():
     ]))
     with pytest.raises(CollectiveTimeout) as excinfo:
         run_shuffle_guarded(
-            stores, seed=15, round_id=0, timeout=1.0, max_retries=2,
-            retry_backoff=0.25, fault_injector=injector, iteration=0,
+            stores, retry=RetryPolicy(1.0, 2, 0.25), seed=15, round_id=0,
+            fault_injector=injector, iteration=0,
         )
     assert excinfo.value.diagnosis is not None
     for s, (records, labels) in zip(stores, originals):

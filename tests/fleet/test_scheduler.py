@@ -3,8 +3,10 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.fleet import FleetScheduler, JobSpec, SharedCluster
+from repro.mpi import RetryPolicy
 
 
 def run_fleet(specs, *, placement="pack", seed=0, max_queued=None,
@@ -250,3 +252,17 @@ def test_fleet_metrics_are_populated():
     assert report.makespan > 0
     assert 0 < report.utilization <= 1
     assert 0 < report.goodput <= report.utilization
+
+
+def test_jobspec_carries_one_validated_retry_policy():
+    """A job's watchdog, retry budget and backoff are one RetryPolicy; an
+    invalid one fails when the spec is built, never mid-run inside the
+    job's first collective."""
+    spec = JobSpec(name="job0")
+    assert spec.retry == RetryPolicy(timeout=5.0, max_retries=2, backoff=0.05)
+    for bad in ({"timeout": -1.0}, {"timeout": 0.0}, {"max_retries": -1}):
+        with pytest.raises(ValueError, match="must be"):
+            JobSpec(name="job0", retry=RetryPolicy(**bad))
+    custom = JobSpec(name="job1", retry=RetryPolicy(2.0, 1, 0.1))
+    report, _scheduler = run_fleet([custom])
+    assert report.all_terminal

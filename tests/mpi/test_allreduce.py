@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import ALLREDUCE_ALGORITHMS, simulate_allreduce
+from repro.mpi import ALLREDUCE_COMPILERS, simulate_allreduce
 
-ALGOS = sorted(ALLREDUCE_ALGORITHMS)
+ALGOS = sorted(ALLREDUCE_COMPILERS)
 
 
 def expected_sum(n_ranks, count, dtype="float32", seed=0):

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import ArrayBuffer, SizeBuffer, build_world, run_rank_programs
+from repro.mpi import (
+    ArrayBuffer,
+    ScheduleBuilder,
+    ScheduleExecutor,
+    SendStep,
+    SizeBuffer,
+    build_world,
+    run_rank_programs,
+)
 from repro.mpi.collectives import (
     alltoallv,
-    binomial_bcast,
-    binomial_reduce,
-    dissemination_barrier,
+    compile_binomial_bcast,
+    compile_binomial_reduce,
+    compile_dissemination_barrier,
     ring_allgatherv,
 )
 
@@ -25,9 +33,7 @@ def test_bcast_delivers_root_payload():
     bufs = [
         ArrayBuffer(data.copy() if r == 2 else np.zeros(8)) for r in range(6)
     ]
-    run_rank_programs(
-        comm, binomial_bcast, per_rank_args=[(b,) for b in bufs], root=2
-    )
+    ScheduleExecutor(comm, compile_binomial_bcast(6, 8, 8, root=2), bufs).run()
     for b in bufs:
         np.testing.assert_array_equal(b.array, data)
 
@@ -39,9 +45,7 @@ def test_reduce_sums_to_root(root):
     rng = np.random.default_rng(4)
     arrays = [rng.standard_normal(16) for _ in range(n)]
     bufs = [ArrayBuffer(a.copy()) for a in arrays]
-    run_rank_programs(
-        comm, binomial_reduce, per_rank_args=[(b,) for b in bufs], root=root
-    )
+    ScheduleExecutor(comm, compile_binomial_reduce(n, 16, 8, root=root), bufs).run()
     np.testing.assert_allclose(
         bufs[root].array, np.sum(arrays, axis=0), rtol=1e-12
     )
@@ -49,17 +53,22 @@ def test_reduce_sums_to_root(root):
 
 def test_barrier_synchronizes_staggered_ranks():
     """No rank may pass the barrier before the slowest rank arrives."""
-    eng, w, comm = world(5)
-    exit_times = {}
-
-    def program(comm, rank):
-        yield comm.engine.timeout(rank * 1.0)  # staggered arrivals
-        yield from dissemination_barrier(comm, rank, tag="t")
-        exit_times[rank] = comm.engine.now
-
-    run_rank_programs(comm, program)
+    n = 5
+    # Prefix the barrier with staggered arrivals: rank r computes r seconds.
+    b = ScheduleBuilder(n, name="staggered barrier")
+    arrive = [b.compute(r, r * 1.0) for r in range(n)]
+    sid = {}
+    for s in compile_dissemination_barrier(n).steps:
+        deps = [sid[d] for d in s.deps] or [arrive[s.rank]]
+        if isinstance(s, SendStep):
+            sid[s.sid] = b.send(s.rank, s.dst, s.key, buf=None, deps=deps)
+        else:
+            sid[s.sid] = b.recv(s.rank, s.src, s.key, deps=deps)
+    eng, w, comm = world(n)
+    executor = ScheduleExecutor(comm, b.build(validate=True), [None] * n)
+    executor.run()
     slowest_arrival = 4.0
-    assert all(t >= slowest_arrival for t in exit_times.values())
+    assert all(t >= slowest_arrival for t in executor.progress.last_advance)
 
 
 def test_allgatherv_variable_sizes():

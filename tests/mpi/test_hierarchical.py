@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import ALLREDUCE_ALGORITHMS, simulate_allreduce
+from repro.mpi import ALLREDUCE_COMPILERS, simulate_allreduce
 from repro.net import CONNECTX5_DUAL, fat_tree
 
 
@@ -18,7 +18,7 @@ def expected_sum(n_ranks, count, seed):
 
 
 def test_registered():
-    assert "hierarchical" in ALLREDUCE_ALGORITHMS
+    assert "hierarchical" in ALLREDUCE_COMPILERS
 
 
 @pytest.mark.parametrize("n_ranks", [2, 4, 8, 16])
@@ -58,8 +58,7 @@ def test_hierarchical_reduces_core_traffic():
     but the hierarchical exchange still shrinks core traffic, which is what
     matters when the core is shared or oversubscribed.)
     """
-    from repro.mpi.runner import build_world, run_rank_programs
-    from repro.mpi import ALLREDUCE_ALGORITHMS, SizeBuffer
+    from repro.mpi import ScheduleExecutor, SizeBuffer, build_world
 
     nbytes = 32 << 20
     core_bytes = {}
@@ -68,10 +67,8 @@ def test_hierarchical_reduces_core_traffic():
         topo = fat_tree(16, CONNECTX5_DUAL, hosts_per_leaf=4, oversubscription=4.0)
         engine, world, comm = build_world(16, topology=topo)
         bufs = [SizeBuffer(nbytes // 4, 4) for _ in range(16)]
-        run_rank_programs(
-            comm, ALLREDUCE_ALGORITHMS[alg],
-            per_rank_args=[(b,) for b in bufs], **kw,
-        )
+        schedule = ALLREDUCE_COMPILERS[alg](16, nbytes // 4, 4, **kw)
+        ScheduleExecutor(comm, schedule, bufs).run()
         times[alg] = engine.now
         core_bytes[alg] = sum(
             v

@@ -5,14 +5,14 @@ import pytest
 
 from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import ArrayBuffer, SizeBuffer
-from repro.mpi.runner import build_world, run_rank_programs
+from repro.mpi.guard import RetryPolicy
+from repro.mpi.runner import build_world
 from repro.mpi.schedule import (
     CollectiveTimeout,
     ScheduleBuilder,
     ScheduleError,
     ScheduleExecutor,
     SendStep,
-    execute_rank,
     format_schedule,
     memoize_compiler,
     run_guarded,
@@ -227,21 +227,6 @@ def test_executor_launch_is_single_shot():
         executor.launch()
 
 
-def test_execute_rank_legacy_adapter():
-    # The generator adapter drives one rank's slice of a schedule under the
-    # old rank-program protocol.
-    sched = _reduce_to_root_schedule()
-    engine, world, comm = build_world(2, topology="star")
-    bufs = [ArrayBuffer(np.full(4, 2, dtype=np.int64)),
-            ArrayBuffer(np.full(4, 3, dtype=np.int64))]
-
-    def program(comm, rank):
-        yield from execute_rank(comm, rank, sched, bufs[rank], tag="legacy")
-
-    run_rank_programs(comm, program)
-    np.testing.assert_array_equal(bufs[0].array, np.full(4, 5))
-
-
 def test_concurrent_executors_share_one_world():
     # Two executors with different tags on the same world must not steal
     # each other's messages or stats.
@@ -291,7 +276,7 @@ def test_all_algorithms_bit_identical(name, n_ranks):
 def test_run_guarded_success_and_telemetry():
     compiler = ALLREDUCE_COMPILERS["ring"]
     make = lambda: [ArrayBuffer(np.full(8, r + 1, dtype=np.int64)) for r in range(4)]
-    buffers, telemetry = run_guarded(compiler, make, timeout=10.0)
+    buffers, telemetry = run_guarded(compiler, make, retry=RetryPolicy(10.0))
     np.testing.assert_array_equal(buffers[0].array, np.full(8, 10))
     assert telemetry.sim_time > 0
     assert telemetry.retries == 0 and telemetry.backoff == 0.0
@@ -300,7 +285,7 @@ def test_run_guarded_success_and_telemetry():
 def test_run_guarded_single_rank_shortcut():
     make = lambda: [ArrayBuffer(np.ones(4, dtype=np.int64))]
     buffers, telemetry = run_guarded(
-        ALLREDUCE_COMPILERS["ring"], make, timeout=1.0
+        ALLREDUCE_COMPILERS["ring"], make, retry=RetryPolicy(1.0)
     )
     np.testing.assert_array_equal(buffers[0].array, np.ones(4))
     assert telemetry.sim_time == 0.0
@@ -316,9 +301,7 @@ def test_run_guarded_times_out_with_backoff():
 
     make = lambda: [SizeBuffer(4, 4), SizeBuffer(4, 4)]
     with pytest.raises(CollectiveTimeout) as exc:
-        run_guarded(
-            stuck_compiler, make, timeout=0.5, max_retries=2, retry_backoff=0.25
-        )
+        run_guarded(stuck_compiler, make, retry=RetryPolicy(0.5, 2, 0.25))
     assert exc.value.attempts == 3
     telemetry = exc.value  # message carries the attempt count
     assert "timed out" in str(telemetry)
@@ -337,7 +320,7 @@ def test_run_guarded_accounts_partial_attempts_in_place():
         run_guarded(
             lambda n, c, i: stuck_compiler(n, c, i),
             lambda: [SizeBuffer(4, 4), SizeBuffer(4, 4)],
-            timeout=0.5, max_retries=1, retry_backoff=0.25,
+            retry=RetryPolicy(0.5, 1, 0.25),
             telemetry=telemetry,
         )
     assert telemetry.retries == 2
@@ -435,9 +418,7 @@ def test_drop_retry_is_bit_exact(name):
     buffers, telemetry = run_guarded(
         ALLREDUCE_COMPILERS[name],
         lambda: [ArrayBuffer(a.copy()) for a in arrays],
-        timeout=5.0,
-        max_retries=2,
-        retry_backoff=0.1,
+        retry=RetryPolicy(5.0, 2, 0.1),
         fault_injector=injector,
         iteration=0,
     )
@@ -458,9 +439,7 @@ def test_timeout_diagnosis_names_dropping_sender():
         run_guarded(
             ALLREDUCE_COMPILERS["ring"],
             make,
-            timeout=1.0,
-            max_retries=1,
-            retry_backoff=0.1,
+            retry=RetryPolicy(1.0, 1, 0.1),
             fault_injector=injector,
         )
     diag = exc.value.diagnosis
@@ -487,9 +466,7 @@ def test_timeout_diagnosis_for_never_posted_send():
         run_guarded(
             stuck_compiler,
             lambda: [SizeBuffer(4, 4), SizeBuffer(4, 4)],
-            timeout=0.5,
-            max_retries=0,
-            retry_backoff=0.1,
+            retry=RetryPolicy(0.5, 0, 0.1),
         )
     diag = exc.value.diagnosis
     assert diag is not None
@@ -507,9 +484,8 @@ def test_surgical_repair_continues_with_survivors():
     buffers, telemetry = run_guarded(
         ALLREDUCE_COMPILERS["multicolor"],
         lambda: [ArrayBuffer(a.copy()) for a in arrays],
-        timeout=5.0,
+        retry=RetryPolicy(5.0),
         fault_injector=injector,
-        repair=True,
     )
     assert telemetry.repaired_ranks == [1]
     assert telemetry.repairs == 1
@@ -518,20 +494,6 @@ def test_surgical_repair_continues_with_survivors():
     expected = arrays[0] + arrays[2] + arrays[3]
     for buf in buffers:
         np.testing.assert_array_equal(buf.array, expected)
-
-
-def test_rank_failure_propagates_without_repair():
-    from repro.mpi.schedule import RankFailure
-    from repro.train.injection import FaultInjector, FaultPlan, crash
-
-    injector = FaultInjector(FaultPlan([crash(1, 0)]))
-    with pytest.raises(RankFailure):
-        run_guarded(
-            ALLREDUCE_COMPILERS["ring"],
-            lambda: [ArrayBuffer(np.ones(8, dtype=np.int64)) for _ in range(4)],
-            timeout=5.0,
-            fault_injector=injector,
-        )
 
 
 def test_executor_progress_counters_reach_totals():

@@ -17,6 +17,7 @@ import pytest
 from repro.data import DIMDStore
 from repro.data.codec import encode_image
 from repro.models.nn import Dense, Flatten, Network, ReLU
+from repro.mpi import RetryPolicy
 from repro.train import (
     CollectiveTimeout,
     DistributedSGDTrainer,
@@ -83,7 +84,7 @@ def test_transient_delay_is_retried_and_training_is_unperturbed():
     the retried collective recomputes the same sum, so the whole run is
     bit-identical to fault-free."""
     plan = FaultPlan([delay_messages(1, seconds=500.0, rank=0)])
-    faulted = make_trainer(plan=plan, collective_timeout=60.0)
+    faulted = make_trainer(plan=plan, retry=RetryPolicy(60.0))
     clean = make_trainer(plan=None)
     results = [faulted.step() for _ in range(3)]
     for _ in range(3):
@@ -100,7 +101,7 @@ def test_transient_drop_bounded_backoff_doubles():
     """Two consecutive lost-message attempts: backoff doubles, third
     attempt (fault exhausted) succeeds."""
     plan = FaultPlan([drop_messages(0, rank=1, count=1, max_firings=2)])
-    trainer = make_trainer(plan=plan, retry_backoff=0.5, max_retries=3)
+    trainer = make_trainer(plan=plan, retry=RetryPolicy(backoff=0.5))
     r = trainer.step()
     assert r.retries == 2
     assert r.backoff == pytest.approx(0.5 + 1.0)  # exponential, bounded
@@ -124,7 +125,7 @@ def test_transient_degrade_surfaces_in_metrics_without_retry():
 
 def test_retry_budget_exhaustion_raises_collective_timeout():
     plan = FaultPlan([drop_messages(0, rank=0, count=1, max_firings=10)])
-    trainer = make_trainer(plan=plan, max_retries=2)
+    trainer = make_trainer(plan=plan, retry=RetryPolicy(max_retries=2))
     with pytest.raises(CollectiveTimeout, match="timed out"):
         trainer.step()
 
@@ -161,38 +162,42 @@ def test_crash_mid_training_completes_on_survivors():
     assert faulted_tail == pytest.approx(clean_tail, rel=1.0)
 
 
-def test_surgical_and_restart_repair_agree_bit_exactly():
-    """``collective_repair="surgical"`` (in-attempt recompile for the
-    survivors) and ``"restart"`` (raise, shrink, rerun the collective)
-    must produce identical parameters — the repair strategy is an
-    operational knob, not a numerics knob."""
+def test_surgical_repair_shrinks_in_attempt():
+    """A mid-collective crash is repaired inside the guarded attempt (the
+    survivor group is recompiled, no retry is charged) and the trainer
+    then shrinks to the survivors, replicas in sync."""
     crash_at, steps = 3, 8
-    surgical = make_trainer(n=4, plan=FaultPlan([crash(1, crash_at)]))
-    restart = make_trainer(
-        n=4, plan=FaultPlan([crash(1, crash_at)]),
-        collective_repair="restart",
-    )
-    assert surgical.collective_repair == "surgical"  # the default
-    for _ in range(steps):
-        surgical.step()
-        restart.step()
-    assert surgical.n_learners == restart.n_learners == 3
-    assert surgical.learner_ids == restart.learner_ids == [0, 2, 3]
-    np.testing.assert_array_equal(surgical.params(), restart.params())
-    surgical.check_synchronized()
-    restart.check_synchronized()
+    trainer = make_trainer(n=4, plan=FaultPlan([crash(1, crash_at)]))
+    results = [trainer.step() for _ in range(steps)]
+    assert results[crash_at].retries == 0
+    assert results[crash_at].n_learners == 3
+    assert trainer.n_learners == 3
+    assert trainer.learner_ids == [0, 2, 3]
+    trainer.check_synchronized()
 
 
-def test_invalid_collective_repair_rejected():
-    with pytest.raises(ValueError, match="collective_repair"):
-        make_trainer(collective_repair="hope")
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"timeout": -1.0},
+        {"timeout": 0.0},
+        {"timeout": float("nan")},
+        {"max_retries": -1},
+        {"backoff": -0.5},
+    ],
+)
+def test_invalid_retry_policy_rejected_at_construction(kwargs):
+    """Bad retry settings fail when the policy is built — before any
+    trainer or fleet job could carry them into a collective."""
+    with pytest.raises(ValueError, match="must be"):
+        make_trainer(retry=RetryPolicy(**kwargs))
 
 
 def test_stall_diagnosis_surfaces_in_fault_log():
     """Each watchdog retry appends a 'stall' fault event naming the
     suspected victim rank and schedule step."""
     plan = FaultPlan([drop_messages(0, rank=1, count=1)])
-    trainer = make_trainer(plan=plan, retry_backoff=0.5, max_retries=3)
+    trainer = make_trainer(plan=plan, retry=RetryPolicy(backoff=0.5))
     r = trainer.step()
     assert r.retries == 1
     stalls = [f for f in r.faults if f.startswith("stall")]
@@ -332,10 +337,10 @@ def test_restore_overrides_operational_knobs(tmp_path):
     path = tmp_path / "c.ckpt"
     trainer.save_checkpoint(path)
     resumed = DistributedSGDTrainer.from_checkpoint(
-        path, net_factory, reducer="ring", max_retries=7
+        path, net_factory, reducer="ring", retry=RetryPolicy(max_retries=7)
     )
     assert resumed.reducer == "ring"
-    assert resumed.max_retries == 7
+    assert resumed.retry.max_retries == 7
     # State untouched by the overrides.
     np.testing.assert_array_equal(resumed.params(), trainer.params())
 
@@ -434,18 +439,19 @@ def test_crash_during_shuffle_shrinks_and_training_continues():
     assert content_multiset(trainer) == before
 
 
-def test_crash_during_shuffle_restart_mode():
-    trainer = make_trainer(
-        n=3, plan=FaultPlan([crash(2, 1)]), shuffle_every=1,
-        collective_repair="restart",
-    )
+def test_crash_of_last_rank_during_shuffle_conserves_records():
+    """The highest rank dies inside the shuffle round: the guard deals its
+    records to the survivors and the round completes on them."""
+    trainer = make_trainer(n=3, plan=FaultPlan([crash(2, 1)]), shuffle_every=1)
     before = content_multiset(trainer)
-    trainer.step()
+    r1 = trainer.step()
+    assert r1.retries == 0
     assert trainer.n_learners == 2
     assert trainer.learner_ids == [0, 1]
     assert content_multiset(trainer) == before
     trainer.step()
     trainer.check_synchronized()
+    assert content_multiset(trainer) == before
 
 
 def test_corrupt_during_shuffle_rolls_back_and_retries():

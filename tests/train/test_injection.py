@@ -180,25 +180,30 @@ def test_drop_only_affects_selected_message():
 
 # -- FaultInjector against real collectives -----------------------------------
 
-def _armed_allreduce(n_ranks, specs, iteration=0, nelem=64):
-    from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
+def _launch_multicolor(n_ranks, nelem=64):
+    """Launch a multicolor allreduce; returns its rank proxies to arm."""
+    from repro.mpi.collectives import ALLREDUCE_COMPILERS
+    from repro.mpi.schedule import ScheduleExecutor
 
     engine, world, comm = build_world(n_ranks, topology="star")
-    program = ALLREDUCE_ALGORITHMS["multicolor"]
     buffers = [ArrayBuffer(np.full(nelem, float(r))) for r in range(n_ranks)]
-    procs = [
-        engine.process(program(comm, r, buffers[r], tag="t"), name=f"r{r}")
-        for r in range(n_ranks)
-    ]
+    schedule = ALLREDUCE_COMPILERS["multicolor"](n_ranks, nelem, 8)
+    executor = ScheduleExecutor(comm, schedule, buffers, tag="t")
+    done = executor.launch()
+    return engine, world, executor.rank_procs, done, buffers
+
+
+def _armed_allreduce(n_ranks, specs, iteration=0, nelem=64):
+    engine, world, procs, done, buffers = _launch_multicolor(n_ranks, nelem)
     injector = FaultInjector(FaultPlan(specs))
     injector.arm(engine, world, procs, iteration)
-    return engine, injector, procs, buffers
+    return engine, injector, done, buffers
 
 
 def test_injected_crash_interrupts_rank_and_fails_collective():
-    engine, injector, procs, _buffers = _armed_allreduce(4, [crash(2, 0)])
+    engine, injector, done, _buffers = _armed_allreduce(4, [crash(2, 0)])
     with pytest.raises(Interrupt) as exc_info:
-        engine.run(engine.all_of(procs))
+        engine.run(done)
     cause = exc_info.value.cause
     assert isinstance(cause, RankFailure)
     assert cause.rank == 2
@@ -207,10 +212,9 @@ def test_injected_crash_interrupts_rank_and_fails_collective():
 
 
 def test_injected_drop_hangs_collective_until_watchdog():
-    engine, injector, procs, _buffers = _armed_allreduce(
+    engine, injector, done, _buffers = _armed_allreduce(
         4, [drop_messages(0, rank=1, count=1)]
     )
-    done = engine.all_of(procs)
     deadline = engine.timeout(60.0)
     engine.run(engine.any_of([done, deadline]))
     assert not done.triggered  # the collective is stuck on the lost payload
@@ -220,15 +224,15 @@ def test_injected_drop_hangs_collective_until_watchdog():
 
 def test_injected_degrade_slows_but_completes():
     nelem = 1 << 18  # 2 MB of float64: bandwidth-dominated timing
-    healthy_engine, _inj, procs, buffers = _armed_allreduce(4, [], nelem=nelem)
-    healthy_engine.run(healthy_engine.all_of(procs))
+    healthy_engine, _inj, done, buffers = _armed_allreduce(4, [], nelem=nelem)
+    healthy_engine.run(done)
     healthy_time = healthy_engine.now
     expected = buffers[0].array.copy()
 
-    engine, injector, procs, buffers = _armed_allreduce(
+    engine, injector, done, buffers = _armed_allreduce(
         4, [degrade_links(1, 0, factor=0.1)], nelem=nelem
     )
-    engine.run(engine.all_of(procs))
+    engine.run(done)
     assert engine.now > healthy_time * 1.5
     np.testing.assert_allclose(buffers[0].array, expected)
     assert [ev.kind for ev in injector.events] == ["degrade"]
@@ -236,17 +240,9 @@ def test_injected_degrade_slows_but_completes():
 
 def _arm_world(injector, n_ranks, iteration, nelem=64):
     """Arm an existing injector against a freshly built collective."""
-    from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
-
-    engine, world, comm = build_world(n_ranks, topology="star")
-    program = ALLREDUCE_ALGORITHMS["multicolor"]
-    buffers = [ArrayBuffer(np.full(nelem, float(r))) for r in range(n_ranks)]
-    procs = [
-        engine.process(program(comm, r, buffers[r], tag="t"), name=f"r{r}")
-        for r in range(n_ranks)
-    ]
+    engine, world, procs, done, buffers = _launch_multicolor(n_ranks, nelem)
     injector.arm(engine, world, procs, iteration)
-    return engine, procs, buffers
+    return engine, done, buffers
 
 
 def test_arm_rejects_out_of_range_rank_with_clear_error():
@@ -261,11 +257,11 @@ def test_stale_spec_after_shrink_is_skipped():
     larger group is stale after the shrink (its target is gone) and must
     be skipped quietly, not raise."""
     injector = FaultInjector(FaultPlan([crash(3, 1)]))
-    engine, procs, _ = _arm_world(injector, 4, iteration=0)  # records group=4
-    engine.run(engine.all_of(procs))
+    engine, done, _ = _arm_world(injector, 4, iteration=0)  # records group=4
+    engine.run(done)
     assert injector.events == []
-    engine, procs, _ = _arm_world(injector, 3, iteration=1)  # group shrank
-    engine.run(engine.all_of(procs))  # completes: stale spec skipped
+    engine, done, _ = _arm_world(injector, 3, iteration=1)  # group shrank
+    engine.run(done)  # completes: stale spec skipped
     assert injector.events == []
     assert not injector.plan.specs[0].exhausted
 
@@ -274,20 +270,20 @@ def test_shrunken_group_rank_is_still_a_valid_target():
     """Group rank != world rank after a shrink: a spec for rank 2 of the
     shrunken 3-rank group arms against slot 2 of the current group."""
     injector = FaultInjector(FaultPlan([crash(2, 1)]))
-    engine, procs, _ = _arm_world(injector, 4, iteration=0)
-    engine.run(engine.all_of(procs))
-    engine, procs, _ = _arm_world(injector, 3, iteration=1)
+    engine, done, _ = _arm_world(injector, 4, iteration=0)
+    engine.run(done)
+    engine, done, _ = _arm_world(injector, 3, iteration=1)
     with pytest.raises(Interrupt) as exc_info:
-        engine.run(engine.all_of(procs))
+        engine.run(done)
     assert isinstance(exc_info.value.cause, RankFailure)
     assert exc_info.value.cause.rank == 2
 
 
 def test_injector_event_log_and_since():
-    engine, injector, procs, _buffers = _armed_allreduce(
+    engine, injector, done, _buffers = _armed_allreduce(
         4, [delay_messages(0, seconds=0.001, rank=0, count=2)]
     )
-    engine.run(engine.all_of(procs))
+    engine.run(done)
     assert len(injector.events) == 2
     assert injector.events_since(1) == injector.events[1:]
     assert all(ev.kind == "delay" for ev in injector.events)
@@ -299,6 +295,7 @@ def test_events_since_orders_events_across_retried_attempts():
     events_since slices it consistently, and every watchdog diagnosis
     names the dropping sender."""
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
+    from repro.mpi.guard import RetryPolicy
     from repro.mpi.schedule import run_guarded
 
     injector = FaultInjector(
@@ -308,9 +305,7 @@ def test_events_since_orders_events_across_retried_attempts():
     buffers, telemetry = run_guarded(
         ALLREDUCE_COMPILERS["ring"],
         lambda: [ArrayBuffer(a.copy()) for a in arrays],
-        timeout=5.0,
-        max_retries=3,
-        retry_backoff=0.5,
+        retry=RetryPolicy(5.0, 3, 0.5),
         fault_injector=injector,
         iteration=0,
     )

@@ -73,4 +73,4 @@ def test_public_package_api():
     import repro
 
     assert repro.__version__ == "1.0.0"
-    assert "multicolor" in repro.ALLREDUCE_ALGORITHMS
+    assert "multicolor" in repro.ALLREDUCE_COMPILERS
