@@ -148,7 +148,7 @@ def run_mttr_study(n_ranks=4, count=1024):
     fault time and the guarded attempt recompiles for the survivors
     immediately, never waiting out the watchdog.
     """
-    from repro.mpi.chaos import DEFAULT_TIMEOUT_FACTOR, chaos_input, reference_run
+    from repro.mpi.chaos import DEFAULT_TIMEOUT_FACTOR, AllreducePlane, chaos_input
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
     from repro.mpi.datatypes import ArrayBuffer
     from repro.mpi.guard import RetryPolicy
@@ -157,7 +157,8 @@ def run_mttr_study(n_ranks=4, count=1024):
 
     rows = []
     for name in sorted(ALLREDUCE_COMPILERS):
-        ref = reference_run(name, n_ranks, count=count)
+        plane = AllreducePlane(name, count)
+        ref = plane.reference(n_ranks)
         timeout = DEFAULT_TIMEOUT_FACTOR * ref.elapsed
         injector = FaultInjector(
             FaultPlan([crash(1, 0, at=ref.elapsed / 2.0)])
@@ -169,7 +170,7 @@ def run_mttr_study(n_ranks=4, count=1024):
             fault_injector=injector,
         )
         surgical = telemetry.sim_time
-        survivors = reference_run(name, n_ranks - 1, count=count)
+        survivors = plane.reference(n_ranks - 1)
         restart = timeout + survivors.elapsed
         rows.append((name, surgical, restart))
     return rows

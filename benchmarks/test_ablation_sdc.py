@@ -21,7 +21,7 @@ from conftest import emit
 import numpy as np
 
 from repro.train.injection import FaultPlan, sdc_flip
-from repro.train.sdc_chaos import _N_STEPS, SDCChaosPoint, _build_trainer
+from repro.train.sdc_chaos import _N_STEPS, SDCChaosPoint, sdc_trainer
 from repro.utils.ascii import render_table
 
 #: The scripted flip used for the MTTR comparison.
@@ -42,7 +42,7 @@ def _run(trainer):
 def _scripted_shrink_times(point):
     """Per-step sim times of a fault-free run shedding the same learner
     at the same iteration (the quarantine repair's reference cost)."""
-    trainer = _build_trainer()
+    trainer = sdc_trainer()
     with trainer:
         times = []
         for iteration in range(_N_STEPS):
@@ -60,17 +60,17 @@ def run_sdc_ablation():
     out = {}
     # Clean path: guard off vs on.
     for check in (False, True):
-        out["on" if check else "off"] = _run(_build_trainer(sdc_check=check))
+        out["on" if check else "off"] = _run(sdc_trainer(sdc_check=check))
     # Priced audit: the step DAG's gated audit steps with explicit latency.
     for label, audit in (("audit-free", 0.0), ("audit-priced", 5e-4)):
-        out[label] = _run(_build_trainer(
+        out[label] = _run(sdc_trainer(
             sdc_check=True, step_dag=True, sdc_audit_time=audit
         ))
     # MTTR: one scripted flip, quarantine-and-rerun measured for real.
     plan = FaultPlan([
         sdc_flip(POINT.rank, POINT.iteration, bucket=POINT.bucket)
     ])
-    out["faulted"] = _run(_build_trainer(plan=plan, sdc_check=True))
+    out["faulted"] = _run(sdc_trainer(fault_plan=plan, sdc_check=True))
     out["shrink-ref"] = _scripted_shrink_times(POINT)
     return out
 

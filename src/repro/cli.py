@@ -17,8 +17,8 @@ Examples::
     python -m repro chaos --collective shuffle --ranks 4
     python -m repro chaos --collective fleet
     python -m repro chaos --collective sdc-step
+    python -m repro chaos --collective fleet --full
     python -m repro fleet --jobs 4 --placement spread --kill-node 0
-    python -m repro fleet --chaos --full
     python -m repro verify --all --goldens --mutate smoke
     python -m repro fig5
 
@@ -137,15 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
              "no-deadlock / bit-exactness / telemetry invariants",
     )
     p.add_argument("--collective", default="allreduce",
-                   choices=("allreduce", "shuffle", "fleet", "sdc-step"),
-                   help="what to sweep: the gradient allreduce (control "
-                        "plane), the DIMD shuffle (data plane), the "
-                        "multi-tenant fleet (node kills, link degrades, "
-                        "arrival bursts, preemption, grow-in-flight "
-                        "kills, kill-during-grow-replay, node flaps, "
-                        "sdc strikes), or the training step's "
-                        "silent-data-corruption defense (one gradient "
-                        "bit-flip per rank x bucket x iteration point)")
+                   choices=tuple(CHAOS_PLANES),
+                   help="the plane to sweep: the gradient allreduce, the "
+                        "DIMD shuffle, the multi-tenant fleet, or the "
+                        "training step's silent-data-corruption defense")
     p.add_argument("--ranks", type=int, nargs="+", default=[4],
                    help="group sizes to sweep")
     p.add_argument("--algorithms", default="smoke",
@@ -153,12 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "or a comma list")
     p.add_argument("--kinds", default=None,
                    help="comma list of fault kinds to inject (default: "
-                        "crash,drop,delay for allreduce; "
-                        "crash,drop,delay,corrupt for shuffle)")
+                        "every kind of the plane; not for sdc-step)")
     p.add_argument("--count", type=int, default=24,
                    help="allreduce only: elements per rank buffer")
     p.add_argument("--max-points", type=int, default=None,
-                   help="cap fault points per rank (evenly subsampled)")
+                   help="evenly subsample the fault points: per rank and "
+                        "kind for allreduce and shuffle, in total for "
+                        "sdc-step (must be >= 1; not for fleet)")
+    p.add_argument("--full", action="store_true",
+                   help="fleet only: the full sweep, not the smoke subset")
 
     p = sub.add_parser(
         "fleet",
@@ -186,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "reclaim learners when slots free up")
     p.add_argument("--events", action="store_true",
                    help="print the scheduler event log")
-    p.add_argument("--chaos", action="store_true",
-                   help="run the fleet chaos sweep instead of one workload")
-    p.add_argument("--full", action="store_true",
-                   help="with --chaos: the full sweep, not the smoke subset")
 
     p = sub.add_parser(
         "verify",
@@ -477,16 +471,9 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    import numpy as np
-
-    from repro.data import DIMDStore
-    from repro.data.codec import encode_image
-    from repro.models.nn import Dense, Flatten, Network, ReLU
     from repro.train import (
         FAULT_KINDS,
-        DistributedSGDTrainer,
         FaultPlan,
-        WarmupStepSchedule,
         corrupt_messages,
         crash,
         degrade_links,
@@ -494,6 +481,7 @@ def _cmd_faults(args) -> int:
         drop_messages,
         sdc_flip,
     )
+    from repro.train.tiny import build_tiny_trainer
 
     if args.list:
         width = max(len(name) for name in FAULT_KINDS)
@@ -510,24 +498,6 @@ def _cmd_faults(args) -> int:
     if args.kind is not None and args.learners < 2:
         print("--kind demos need --learners >= 2", file=sys.stderr)
         return 2
-
-    n_classes = 3
-
-    def net_factory(rng):
-        return Network(
-            [Flatten(), Dense(16, 10, rng), ReLU(), Dense(10, n_classes, rng)]
-        )
-
-    rng = np.random.default_rng(args.seed)
-    stores = []
-    for w in range(args.learners):
-        labels = rng.integers(0, n_classes, size=24)
-        records = []
-        for lab in labels:
-            img = rng.integers(0, 60, size=(1, 4, 4), dtype=np.uint8)
-            img[0, int(lab) % 4, :] = 255
-            records.append(encode_image(img))
-        stores.append(DIMDStore(records, labels, learner=w))
 
     specs = []
     trainer_kw = {}
@@ -563,14 +533,8 @@ def _cmd_faults(args) -> int:
                 )
                 return 2
             specs.append(crash(args.crash_rank, args.crash_at))
-    schedule = WarmupStepSchedule(
-        batch_per_gpu=4, n_workers=args.learners, base_lr=0.08,
-        reference_batch=4 * args.learners, warmup_epochs=0.0,
-    )
-    trainer = DistributedSGDTrainer(
-        net_factory, stores, gpus_per_node=1, batch_per_gpu=4,
-        schedule=schedule, reducer="multicolor", seed=args.seed,
-        fault_plan=FaultPlan(specs), **trainer_kw,
+    trainer = build_tiny_trainer(
+        args.learners, args.seed, fault_plan=FaultPlan(specs), **trainer_kw
     )
     total = sum(len(s) for s in trainer.stores)
     print(f"{'it':>3} {'learners':>8} {'loss':>8} {'retries':>7}  faults")
@@ -597,99 +561,94 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.mpi.chaos import (
-        DEFAULT_KINDS,
-        SHUFFLE_KINDS,
-        chaos_sweep,
-        shuffle_chaos_sweep,
-        smoke_algorithms,
-    )
+def _algorithms(spec: str) -> list[str]:
+    """'smoke' (one allreduce per family), 'all', or a comma list of
+    registered allreduce names (``ValueError`` on an unknown one)."""
+    from repro.mpi.chaos import smoke_algorithms
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
 
-    if args.collective == "fleet":
-        from repro.fleet.chaos import FLEET_KINDS, fleet_chaos_sweep
-
-        kinds = (
-            FLEET_KINDS
-            if args.kinds is None
-            else tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-        )
-        try:
-            report = fleet_chaos_sweep(kinds=kinds, smoke=True)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(report.format())
-        return 0 if report.all_ok else 1
-
-    if args.collective == "sdc-step":
-        from repro.train.sdc_chaos import sdc_chaos_sweep
-
-        report = sdc_chaos_sweep(max_points=args.max_points)
-        print(report.format())
-        return 0 if report.all_ok else 1
-
-    if args.collective == "shuffle":
-        kinds = (
-            SHUFFLE_KINDS
-            if args.kinds is None
-            else tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-        )
-        try:
-            report = shuffle_chaos_sweep(
-                tuple(args.ranks), kinds=kinds,
-                max_points_per_rank=args.max_points,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(report.format())
-        return 0 if report.all_ok else 1
-
-    if args.algorithms == "smoke":
-        algorithms = smoke_algorithms()
-    elif args.algorithms == "all":
-        algorithms = sorted(ALLREDUCE_COMPILERS)
-    else:
-        algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    unknown = [a for a in algorithms if a not in ALLREDUCE_COMPILERS]
+    if spec in ("smoke", "all"):
+        return smoke_algorithms() if spec == "smoke" else sorted(ALLREDUCE_COMPILERS)
+    names = [a.strip() for a in spec.split(",") if a.strip()]
+    unknown = [a for a in names if a not in ALLREDUCE_COMPILERS]
     if unknown:
-        print(
-            f"unknown algorithm(s) {unknown}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown algorithm(s) {unknown}; choose from {sorted(ALLREDUCE_COMPILERS)}"
         )
-        return 2
+    return names
+
+
+def _chaos_allreduce(args, kinds):
+    from repro.chaos import select_kinds
+    from repro.mpi.chaos import DEFAULT_KINDS, chaos_sweep
+
+    algorithms = _algorithms(args.algorithms)
+    select_kinds("allreduce", kinds, DEFAULT_KINDS)
+    return lambda: chaos_sweep(
+        algorithms, args.ranks, kinds=kinds, count=args.count,
+        max_points_per_rank=args.max_points,
+    )
+
+
+def _chaos_shuffle(args, kinds):
+    from repro.chaos import select_kinds
+    from repro.mpi.chaos import SHUFFLE_KINDS, shuffle_chaos_sweep
+
+    select_kinds("shuffle", kinds, SHUFFLE_KINDS)
+    return lambda: shuffle_chaos_sweep(
+        args.ranks, kinds=kinds, max_points_per_rank=args.max_points
+    )
+
+
+def _chaos_fleet(args, kinds):
+    from repro.chaos import select_kinds
+    from repro.fleet.chaos import FLEET_KINDS, fleet_chaos_sweep
+
+    if args.max_points is not None:
+        raise ValueError("--max-points does not apply to the fleet plane")
+    select_kinds("fleet", kinds, FLEET_KINDS)
+    return lambda: fleet_chaos_sweep(kinds=kinds, smoke=not args.full)
+
+
+def _chaos_sdc(args, kinds):
+    from repro.train.sdc_chaos import sdc_chaos_sweep
+
+    if kinds is not None:
+        raise ValueError("--kinds does not apply to the sdc-step plane")
+    return lambda: sdc_chaos_sweep(max_points=args.max_points)
+
+
+#: The planes of the chaos harness, by ``repro chaos --collective`` name.
+#: Each checks its options (``ValueError`` on a bad one) before any point
+#: runs, imports only its own plane, and returns the sweep to run.
+CHAOS_PLANES = {
+    "allreduce": _chaos_allreduce,
+    "shuffle": _chaos_shuffle,
+    "fleet": _chaos_fleet,
+    "sdc-step": _chaos_sdc,
+}
+
+
+def _cmd_chaos(args) -> int:
+    from repro.chaos import check_max_points
+
     kinds = (
-        DEFAULT_KINDS
-        if args.kinds is None
+        None if args.kinds is None
         else tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     )
     try:
-        report = chaos_sweep(
-            algorithms, tuple(args.ranks), kinds=kinds, count=args.count,
-            max_points_per_rank=args.max_points,
-        )
+        check_max_points(args.max_points)
+        run = CHAOS_PLANES[args.collective](args, kinds)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    report = run()
     print(report.format())
     return 0 if report.all_ok else 1
 
 
 def _cmd_fleet(args) -> int:
-    from repro.fleet import (
-        FleetScheduler,
-        JobSpec,
-        SharedCluster,
-        fleet_chaos_sweep,
-    )
-
-    if args.chaos:
-        report = fleet_chaos_sweep(smoke=not args.full)
-        print(report.format())
-        return 0 if report.all_ok else 1
+    from repro.fleet import FleetScheduler, JobSpec, SharedCluster
 
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
@@ -759,25 +718,18 @@ def _cmd_fleet(args) -> int:
 def _cmd_verify(args) -> int:
     if args.fleet:
         return _cmd_verify_fleet(args)
-    from repro.mpi.chaos import smoke_algorithms
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
     from repro.mpi.verify.mutate import run_mutation_suite
     from repro.mpi.verify.sweep import run_sweep
 
-    if args.algorithms is not None:
-        algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        unknown = [a for a in algorithms if a not in ALLREDUCE_COMPILERS]
-        if unknown:
-            print(
-                f"unknown algorithm(s) {unknown}; "
-                f"choose from {sorted(ALLREDUCE_COMPILERS)}",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.all:
-        algorithms = sorted(ALLREDUCE_COMPILERS)
-    else:
-        algorithms = smoke_algorithms()
+    try:
+        algorithms = _algorithms(
+            args.algorithms if args.algorithms is not None
+            else "all" if args.all else "smoke"
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     result = run_sweep(
         algorithms=algorithms,
@@ -790,11 +742,7 @@ def _cmd_verify(args) -> int:
     ok = result.all_ok
 
     if args.mutate != "off":
-        names = (
-            sorted(ALLREDUCE_COMPILERS)
-            if args.mutate == "full"
-            else smoke_algorithms()
-        )
+        names = _algorithms("all" if args.mutate == "full" else "smoke")
         mutation = run_mutation_suite(
             {name: ALLREDUCE_COMPILERS[name] for name in names}
         )

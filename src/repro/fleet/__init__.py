@@ -15,10 +15,10 @@ See DESIGN.md §4h.  The pieces:
 * :mod:`~repro.fleet.health` — the opt-in straggler monitor that turns
   per-node runtime signals into proactive drains;
 * :func:`~repro.fleet.chaos.fleet_chaos_sweep` — the fleet-level chaos
-  harness asserting the seven robustness invariants.
+  plane of the chaos harness (:mod:`repro.chaos`).
 """
 
-from repro.fleet.chaos import FleetChaosReport, fleet_chaos_sweep
+from repro.fleet.chaos import fleet_chaos_sweep
 from repro.fleet.cluster import Node, SharedCluster
 from repro.fleet.collective import JobLost, guarded_fleet_allreduce
 from repro.fleet.health import HealthPolicy, health_monitor
@@ -26,7 +26,6 @@ from repro.fleet.jobs import (
     FleetJob,
     JobSpec,
     PreemptionNotice,
-    build_trainer,
     validate_scripted_lineage,
 )
 from repro.fleet.scheduler import (
@@ -37,7 +36,6 @@ from repro.fleet.scheduler import (
 )
 
 __all__ = [
-    "FleetChaosReport",
     "FleetEvent",
     "FleetJob",
     "FleetReport",
@@ -49,7 +47,6 @@ __all__ = [
     "Node",
     "PreemptionNotice",
     "SharedCluster",
-    "build_trainer",
     "fleet_chaos_sweep",
     "guarded_fleet_allreduce",
     "health_monitor",

@@ -45,16 +45,13 @@ A granted node that dies before the boundary is revoked, never joined.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.data.codec import encode_image
-from repro.data.dimd import DIMDStore
 from repro.fleet.collective import guarded_fleet_allreduce
-from repro.models.nn import Dense, Flatten, Network, ReLU
 from repro.mpi.guard import CollectiveTelemetry, RetryPolicy
 from repro.sim.engine import Event, Interrupt
 
@@ -63,14 +60,13 @@ if TYPE_CHECKING:  # circular at runtime: scheduler imports this module
     from repro.fleet.scheduler import FleetScheduler
 from repro.train.checkpoint import TrainerCheckpoint
 from repro.train.distributed import DistributedSGDTrainer
-from repro.train.schedule import WarmupStepSchedule
 from repro.train.sdc import SDCDetected, SDCGuard, flip_bit
+from repro.train.tiny import build_tiny_trainer, tiny_net_factory
 
 __all__ = [
     "JobSpec",
     "FleetJob",
     "PreemptionNotice",
-    "build_trainer",
     "validate_scripted_lineage",
 ]
 
@@ -210,46 +206,6 @@ def validate_scripted_lineage(
                     f"[0, {live})"
                 )
             live -= 1
-
-
-def build_trainer(spec: JobSpec) -> DistributedSGDTrainer:
-    """Deterministic tiny-MLP trainer for one fleet job (from its seed)."""
-    n_classes = spec.n_classes
-
-    def net_factory(rng: np.random.Generator) -> Network:
-        return Network(
-            [Flatten(), Dense(16, 10, rng), ReLU(), Dense(10, n_classes, rng)]
-        )
-
-    rng = np.random.default_rng(spec.seed)
-    stores = []
-    for learner in range(spec.n_learners):
-        labels = rng.integers(0, n_classes, size=spec.records_per_learner)
-        records = []
-        for lab in labels:
-            img = rng.integers(0, 60, size=(1, 4, 4), dtype=np.uint8)
-            img[0, int(lab) % 4, :] = 255
-            records.append(encode_image(img))
-        stores.append(DIMDStore(records, labels, learner=learner))
-    schedule = WarmupStepSchedule(
-        batch_per_gpu=spec.batch_per_gpu,
-        n_workers=spec.n_learners,
-        base_lr=0.08,
-        reference_batch=spec.batch_per_gpu * spec.n_learners,
-        warmup_epochs=0.0,
-    )
-    trainer = DistributedSGDTrainer(
-        net_factory,
-        stores,
-        gpus_per_node=1,
-        batch_per_gpu=spec.batch_per_gpu,
-        schedule=schedule,
-        reducer=spec.reducer,
-        seed=spec.seed,
-        shuffle_every=None,
-        reshuffle_on_shrink=False,
-    )
-    return trainer
 
 
 @dataclass
@@ -394,12 +350,18 @@ class FleetJob:
             if self.saved is not None:
                 ckpt, shrinks, grows = self.saved
                 self.trainer = DistributedSGDTrainer.from_checkpoint(
-                    ckpt, ckpt_net_factory(self.spec)
+                    ckpt, tiny_net_factory(self.spec.n_classes)
                 )
                 self.shrink_log = list(shrinks)
                 self.grow_log = list(grows)
             else:
-                self.trainer = build_trainer(self.spec)
+                spec = self.spec
+                self.trainer = build_tiny_trainer(
+                    spec.n_learners, spec.seed, n_classes=spec.n_classes,
+                    records_per_learner=spec.records_per_learner,
+                    batch_per_gpu=spec.batch_per_gpu, reducer=spec.reducer,
+                    reshuffle_on_shrink=False,
+                )
                 self.shrink_log = []
                 self.grow_log = []
         self.status = "running"
@@ -643,14 +605,3 @@ class FleetJob:
         self.telemetry.finished = self._cluster.engine.now
         self._scheduler.on_finished(self)
 
-
-def ckpt_net_factory(spec: JobSpec) -> Callable[[np.random.Generator], Network]:
-    """The network factory a restored trainer needs (same as build time)."""
-    n_classes = spec.n_classes
-
-    def net_factory(rng: np.random.Generator) -> Network:
-        return Network(
-            [Flatten(), Dense(16, 10, rng), ReLU(), Dense(10, n_classes, rng)]
-        )
-
-    return net_factory

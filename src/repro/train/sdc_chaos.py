@@ -20,34 +20,31 @@ asserts five invariants:
    *controlled* shrink: the poisoned iteration was rolled back and
    re-run on the survivors with no numeric residue.
 
-The sweep also proves the **zero-cost clean path**: a fault-free run
-with fingerprinting enabled lands on bit-identical params *and* the
-identical simulated time as one with it disabled — detection spends no
-simulated events, so every existing golden stays byte-stable.
+The sweep also proves the **zero-cost clean path**, as a sweep-level
+invariant: a fault-free run with fingerprinting enabled lands on
+bit-identical params *and* the identical simulated time as one with it
+disabled — detection spends no simulated events, so every existing
+golden stays byte-stable.  The loop is :func:`repro.chaos.sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data import DIMDStore
-from repro.data.codec import encode_image
-from repro.models.nn import Dense, Flatten, Network, ReLU
+from repro.chaos import ChaosOutcome, ChaosReport, References, subsample, sweep
 from repro.train.distributed import DistributedSGDTrainer
 from repro.train.injection import FaultPlan, sdc_flip
-from repro.train.schedule import WarmupStepSchedule
+from repro.train.tiny import build_tiny_trainer
 
-__all__ = ["SDCChaosOutcome", "SDCChaosPoint", "SDCChaosReport",
-           "sdc_chaos_points", "sdc_chaos_sweep"]
+__all__ = ["SDCChaosPoint", "run_sdc_point", "sdc_chaos_points",
+           "sdc_chaos_sweep", "sdc_trainer"]
 
 #: Sweep geometry: learners in the group, gradient buckets, train steps.
 _N_LEARNERS = 3
 _N_BUCKETS = 2
 _N_STEPS = 4
-_N_CLASSES = 3
-_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -58,6 +55,10 @@ class SDCChaosPoint:
     bucket: int
     iteration: int
 
+    @property
+    def group(self) -> str:
+        return self.label()
+
     def label(self) -> str:
         return (
             f"sdc rank={self.rank} bucket={self.bucket} "
@@ -65,108 +66,51 @@ class SDCChaosPoint:
         )
 
 
-@dataclass
-class SDCChaosOutcome:
-    point: SDCChaosPoint
-    ok: bool
-    violations: list[str] = field(default_factory=list)
+def sdc_trainer(**overrides) -> DistributedSGDTrainer:
+    """The sweep's training job: the tiny job with its group geometry,
+    data drawn from seed 0 and initial weights from seed 11."""
+    defaults = dict(seed=11, reshuffle_on_shrink=False, step_buckets=_N_BUCKETS)
+    return build_tiny_trainer(_N_LEARNERS, 0, **(defaults | overrides))
 
 
-@dataclass
-class SDCChaosReport:
-    outcomes: list[SDCChaosOutcome]
-    clean_equivalent: bool = True
-
-    @property
-    def all_ok(self) -> bool:
-        return self.clean_equivalent and all(o.ok for o in self.outcomes)
-
-    def format(self) -> str:
-        lines = [
-            f"sdc chaos: {len(self.outcomes)} points, "
-            f"{sum(o.ok for o in self.outcomes)} ok, "
-            f"{sum(not o.ok for o in self.outcomes)} failed"
-        ]
-        for o in self.outcomes:
-            mark = "ok " if o.ok else "FAIL"
-            lines.append(f"  [{mark}] {o.point.label()}")
-            for v in o.violations:
-                lines.append(f"         - {v}")
-        lines.append(
-            "  clean path: fingerprinting "
-            + ("zero-cost (params and sim time bit-identical)"
-               if self.clean_equivalent
-               else "PERTURBED the clean run")
-        )
-        return "\n".join(lines)
-
-
-def _build_trainer(
-    n_learners: int = _N_LEARNERS,
-    seed: int = _SEED,
-    *,
-    plan: FaultPlan | None = None,
-    sdc_check: bool = False,
-    **overrides,
-) -> DistributedSGDTrainer:
-    """A small deterministic training job (the elastic-test fixture shape)."""
-
-    def net_factory(rng):
-        return Network(
-            [Flatten(), Dense(16, 10, rng), ReLU(),
-             Dense(10, _N_CLASSES, rng)]
-        )
-
-    rng = np.random.default_rng(0)
-    stores = []
-    for learner in range(n_learners):
-        labels = rng.integers(0, _N_CLASSES, size=24)
-        records = []
-        for lab in labels:
-            img = rng.integers(0, 60, size=(1, 4, 4), dtype=np.uint8)
-            img[0, int(lab) % 4, :] = 255
-            records.append(encode_image(img))
-        stores.append(DIMDStore(records, labels, learner=learner))
-    schedule = WarmupStepSchedule(
-        batch_per_gpu=4, n_workers=n_learners, base_lr=0.08,
-        reference_batch=4 * n_learners, warmup_epochs=0.0,
-    )
-    kwargs = dict(
-        gpus_per_node=1, batch_per_gpu=4, schedule=schedule,
-        reducer="multicolor", seed=seed, momentum=0.9,
-        reshuffle_on_shrink=False, fault_plan=plan,
-        sdc_check=sdc_check, step_buckets=_N_BUCKETS,
-    )
-    kwargs.update(overrides)
-    return DistributedSGDTrainer(net_factory, stores, **kwargs)
-
-
-def _scripted_reference(
-    point: SDCChaosPoint, n_learners: int, **overrides
-) -> np.ndarray:
-    """Final params of a fault-free run that sheds the same learner at the
-    same iteration as a controlled shrink (the repair target).  Pass the
+def _scripted_reference(rank: int, iteration: int, **overrides) -> np.ndarray:
+    """Final params of a fault-free run that sheds ``rank`` at
+    ``iteration`` as a controlled shrink (the repair target).  Pass the
     faulted run's mode switches (e.g. ``step_dag=True``) as overrides so
     the reference reduces in the identical association order."""
-    trainer = _build_trainer(n_learners, **overrides)
+    trainer = sdc_trainer(**overrides)
     with trainer:
-        for iteration in range(_N_STEPS):
+        for it in range(_N_STEPS):
             grads, losses = trainer.step_compute()
-            if iteration == point.iteration:
-                del grads[point.rank]
-                trainer.absorb_failure(point.rank, reshuffle=False)
+            if it == iteration:
+                del grads[rank]
+                trainer.absorb_failure(rank, reshuffle=False)
             summed, n = trainer._allreduce(grads)
             trainer.step_apply(summed, n, losses)
         return trainer.params()
 
 
-def run_sdc_point(point: SDCChaosPoint) -> SDCChaosOutcome:
+def _clean_run(refs: References, sdc_check: bool) -> tuple[np.ndarray, list]:
+    """Fault-free run with the guard on or off: final params, step results."""
+
+    def run() -> tuple[np.ndarray, list]:
+        with sdc_trainer(sdc_check=sdc_check) as trainer:
+            results = [trainer.step() for _ in range(_N_STEPS)]
+            return trainer.params(), results
+
+    return refs.get(("clean", sdc_check), run)
+
+
+def run_sdc_point(
+    point: SDCChaosPoint, refs: References | None = None
+) -> ChaosOutcome:
     """Run one scripted flip and check the five defense invariants."""
+    refs = refs if refs is not None else References()
     violations: list[str] = []
     plan = FaultPlan([
         sdc_flip(point.rank, point.iteration, bucket=point.bucket)
     ])
-    trainer = _build_trainer(plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         injected = [e for e in trainer.fault_log if e.kind == "sdc"]
@@ -208,30 +152,34 @@ def run_sdc_point(point: SDCChaosPoint) -> SDCChaosOutcome:
             trainer.check_synchronized()
         except AssertionError as exc:
             violations.append(f"survivors desynchronized: {exc}")
-        ref = _scripted_reference(point, _N_LEARNERS)
+        ref = refs.get(
+            ("shrink", point.rank, point.iteration),
+            lambda: _scripted_reference(point.rank, point.iteration),
+        )
         if not np.array_equal(trainer.params(), ref):
             violations.append(
                 "final params diverge from the controlled-shrink "
                 "reference — the poisoned iteration left numeric residue"
             )
-    return SDCChaosOutcome(point, ok=not violations, violations=violations)
+    _params, clean = _clean_run(refs, False)
+    return ChaosOutcome(
+        point, violations, fired=bool(injected),
+        makespan=sum(r.sim_time for r in results),
+        ref_makespan=sum(r.sim_time for r in clean),
+    )
 
 
-def _clean_equivalent() -> bool:
+def _clean_path_violations(refs: References) -> list[str]:
     """Fault-free runs with detection on vs off: params and simulated
     time must both be bit-identical (zero-sim-event bookkeeping)."""
-    outcomes = []
-    for check in (False, True):
-        trainer = _build_trainer(sdc_check=check)
-        with trainer:
-            results = [trainer.step() for _ in range(_N_STEPS)]
-            outcomes.append(
-                (trainer.params(), [r.sim_time for r in results])
-            )
-    (params_off, times_off), (params_on, times_on) = outcomes
-    return bool(np.array_equal(params_off, params_on)) and (
-        times_off == times_on
+    (params_off, off), (params_on, on) = (
+        _clean_run(refs, check) for check in (False, True)
     )
+    if np.array_equal(params_off, params_on) and (
+        [r.sim_time for r in off] == [r.sim_time for r in on]
+    ):
+        return []
+    return ["fingerprinting PERTURBED the clean run (params or sim time)"]
 
 
 def sdc_chaos_points(*, smoke: bool = False) -> list[SDCChaosPoint]:
@@ -253,14 +201,8 @@ def sdc_chaos_points(*, smoke: bool = False) -> list[SDCChaosPoint]:
 
 
 def sdc_chaos_sweep(
-    *,
-    smoke: bool = False,
-    max_points: int | None = None,
-) -> SDCChaosReport:
+    *, smoke: bool = False, max_points: int | None = None
+) -> ChaosReport:
     """Run every scripted-flip point plus the clean-path equivalence."""
-    points = sdc_chaos_points(smoke=smoke)
-    if max_points is not None and max_points < len(points):
-        stride = len(points) / max_points
-        points = [points[int(i * stride)] for i in range(max_points)]
-    outcomes = [run_sdc_point(point) for point in points]
-    return SDCChaosReport(outcomes, clean_equivalent=_clean_equivalent())
+    points = subsample(sdc_chaos_points(smoke=smoke), max_points)
+    return sweep("sdc", lambda refs: points, run_sdc_point, _clean_path_violations)

@@ -222,7 +222,7 @@ def test_fleet_command_rejects_bad_args(capsys):
 
 
 def test_fleet_chaos_exit_codes(capsys, monkeypatch):
-    import repro.cli as cli
+    import repro.fleet.chaos
 
     class FakeReport:
         all_ok = False
@@ -230,21 +230,63 @@ def test_fleet_chaos_exit_codes(capsys, monkeypatch):
         def format(self):
             return "fleet chaos: 1 points, 0 ok, 1 failed"
 
+    calls = []
+
     def fake_sweep(**kwargs):
+        calls.append(kwargs)
         return FakeReport()
 
-    import repro.fleet
-    import repro.fleet.chaos
-
-    monkeypatch.setattr(repro.fleet, "fleet_chaos_sweep", fake_sweep)
     monkeypatch.setattr(repro.fleet.chaos, "fleet_chaos_sweep", fake_sweep)
-    assert main(["fleet", "--chaos"]) == 1
     assert main(["chaos", "--collective", "fleet"]) == 1
+    assert main(["chaos", "--collective", "fleet", "--full"]) == 1
+    assert [c["smoke"] for c in calls] == [True, False]
+    # The sweep has one entry point: `repro fleet` runs one workload.
+    with pytest.raises(SystemExit):
+        main(["fleet", "--chaos"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--ranks", "4", "--algorithms", "ring", "--kinds", ","], 1),
+    (["--collective", "shuffle", "--ranks", "2", "--max-points", "0"], 2),
+    (["--collective", "sdc-step", "--max-points", "-1"], 2),
+    (["--collective", "sdc-step", "--max-points", "0"], 2),
+    (["--collective", "fleet", "--kinds", ","], 1),
+], ids=["allreduce-no-kinds", "shuffle-max-0", "sdc-max-negative",
+        "sdc-max-0", "fleet-no-kinds"])
+def test_chaos_empty_sweep_never_passes(capsys, argv, code):
+    """A sweep that runs no point proves nothing: it fails (1), and a
+    point cap below 1 is a usage error (2)."""
+    assert main(["chaos", *argv]) == code
+    if code == 1:
+        assert "0 points" in capsys.readouterr().out
 
 
 def test_fleet_chaos_rejects_unknown_kind(capsys):
     code = main(["chaos", "--collective", "fleet", "--kinds", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--collective", "shuffle", "--kinds", "bogus"],
+    ["--algorithms", "bogus"],
+    ["--collective", "fleet", "--max-points", "3"],
+    ["--collective", "sdc-step", "--kinds", "sdc"],
+], ids=["shuffle-kind", "algorithm", "fleet-max-points", "sdc-kinds"])
+def test_chaos_rejects_bad_options_before_any_point(capsys, argv):
+    assert main(["chaos", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err
+
+
+def test_chaos_error_inside_a_point_is_not_a_usage_error(monkeypatch):
+    import repro.train.sdc_chaos as sdc_chaos
+
+    def broken(point, refs):
+        raise ValueError("defect inside a point run")
+
+    monkeypatch.setattr(sdc_chaos, "run_sdc_point", broken)
+    with pytest.raises(ValueError, match="defect inside"):
+        main(["chaos", "--collective", "sdc-step", "--max-points", "1"])
 
 
 def test_module_invocation_smoke():

@@ -1,4 +1,4 @@
-"""Fleet chaos sweep: the seven robustness invariants under disturbance."""
+"""Fleet chaos sweep: the robustness invariants under disturbance."""
 
 import pytest
 
@@ -31,9 +31,9 @@ def test_node_kills_actually_fired_and_shrank_jobs():
     report = fleet_chaos_sweep(kinds=("node-kill",), smoke=True)
     assert report.all_ok, "\n" + report.format()
     for outcome in report.outcomes:
-        kills = [e for e in outcome.report.events if e.kind == "node-kill"]
+        kills = [e for e in outcome.result.events if e.kind == "node-kill"]
         assert len(kills) == 1
-        shrunk = [j for j in outcome.report.jobs if j.shrinks]
+        shrunk = [j for j in outcome.result.jobs if j.shrinks]
         assert len(shrunk) == outcome.point.hosted
 
 
@@ -42,9 +42,9 @@ def test_grow_kind_triggers_actually_fired():
     assert report.all_ok, "\n" + report.format()
     for outcome in report.outcomes:
         label = outcome.point.label()
-        long = outcome.report.job("long")
+        long = outcome.result.job("long")
         assert long.grows, label  # every grow kind regrew the shrunk job
-        kinds = [e.kind for e in outcome.report.events]
+        kinds = [e.kind for e in outcome.result.events]
         if outcome.point.kind == "grow-in-flight-kill":
             assert "grow-revoked" in kinds, label
         elif outcome.point.kind == "kill-in-grow-replay":
@@ -59,22 +59,22 @@ def test_sdc_kind_detects_quarantines_drains_and_migrates():
     assert report.all_ok, "\n" + report.format()
     for outcome in report.outcomes:
         label = outcome.point.label()
-        kinds = [e.kind for e in outcome.report.events]
+        kinds = [e.kind for e in outcome.result.events]
         # One flip per sick job, both detected before any optimizer apply.
         assert kinds.count("sdc-detect") == 2, label
         # Cross-job strikes on the co-located node drained it and moved
         # the hosted learners elsewhere.
         assert "drain" in kinds and "migrate" in kinds, label
         for name in ("sickA", "sickB"):
-            assert outcome.report.job(name).shrinks, label
+            assert outcome.result.job(name).shrinks, label
         # The clean job is never quarantined — its only disturbance is
         # the migration off the drained node, which regrows elastically.
-        clean = outcome.report.job("clean")
+        clean = outcome.result.job("clean")
         assert clean.migrations >= 1 and clean.grows, label
 
 
 def test_unknown_kind_is_rejected():
-    with pytest.raises(ValueError, match="unknown fleet chaos kind"):
+    with pytest.raises(ValueError, match="unknown chaos kind.*fleet plane"):
         fleet_chaos_sweep(kinds=("bogus",))
 
 

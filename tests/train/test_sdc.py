@@ -22,12 +22,7 @@ from repro.train.sdc import (
     SDCVerdict,
     flip_bit,
 )
-from repro.train.sdc_chaos import (
-    _N_STEPS,
-    _build_trainer,
-    _scripted_reference,
-    SDCChaosPoint,
-)
+from repro.train.sdc_chaos import _N_STEPS, _scripted_reference, sdc_trainer
 from repro.utils.digest import (
     array_fingerprint,
     crc_of_bytes,
@@ -250,7 +245,7 @@ def test_sdc_spec_validation():
 
 def test_trainer_detects_attributes_and_quarantines():
     plan = FaultPlan([sdc_flip(1, 1, bucket=0)])
-    trainer = _build_trainer(plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         injected = [e for e in trainer.fault_log if e.kind == "sdc"]
@@ -266,11 +261,11 @@ def test_trainer_detects_attributes_and_quarantines():
 
 def test_quarantine_rerun_is_bit_exact_vs_scripted_shrink():
     plan = FaultPlan([sdc_flip(1, 1, bucket=0)])
-    trainer = _build_trainer(plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
     with trainer:
         for _ in range(_N_STEPS):
             trainer.step()
-        ref = _scripted_reference(SDCChaosPoint(1, 0, 1), 3)
+        ref = _scripted_reference(1, 1)
         np.testing.assert_array_equal(trainer.params(), ref)
 
 
@@ -280,7 +275,7 @@ def test_clean_run_equivalence_with_detection_on():
     for mode in (dict(), dict(step_dag=True)):
         outcomes = []
         for check in (False, True):
-            trainer = _build_trainer(sdc_check=check, **mode)
+            trainer = sdc_trainer(sdc_check=check, **mode)
             with trainer:
                 results = [trainer.step() for _ in range(_N_STEPS)]
                 outcomes.append(
@@ -292,13 +287,13 @@ def test_clean_run_equivalence_with_detection_on():
 
 def test_step_dag_mode_detects_and_quarantines_too():
     plan = FaultPlan([sdc_flip(2, 1, bucket=1)])
-    trainer = _build_trainer(plan=plan, sdc_check=True, step_dag=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_check=True, step_dag=True)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         assert results[1].quarantined == (2,)
         assert trainer.n_learners == 2
         trainer.check_synchronized()
-        ref = _scripted_reference(SDCChaosPoint(2, 1, 1), 3, step_dag=True)
+        ref = _scripted_reference(2, 1, step_dag=True)
         np.testing.assert_array_equal(trainer.params(), ref)
 
 
@@ -323,7 +318,7 @@ def test_inflight_corruption_retries_unattributed(monkeypatch):
 
     monkeypatch.setattr(_ArmedFaults, "corrupt_payload", strong_corrupt)
     plan = FaultPlan([corrupt_messages(1, count=1)])
-    trainer = _build_trainer(plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         detected = [e for e in trainer.fault_log if e.kind == "sdc-detect"]
@@ -331,7 +326,7 @@ def test_inflight_corruption_retries_unattributed(monkeypatch):
         assert results[1].retries == 1
         assert all(r.quarantined == () for r in results)
         assert trainer.n_learners == 3
-        clean = _build_trainer()
+        clean = sdc_trainer()
         with clean:
             for _ in range(_N_STEPS):
                 clean.step()
@@ -340,39 +335,39 @@ def test_inflight_corruption_retries_unattributed(monkeypatch):
 
 def test_sdc_check_rejects_exact_reducer():
     with pytest.raises(ValueError, match="simulated allreduce"):
-        _build_trainer(sdc_check=True, reducer="exact")
+        sdc_trainer(sdc_check=True, reducer="exact")
 
 
 def test_compute_plane_plan_requires_sdc_check():
     with pytest.raises(ValueError, match="sdc_check is off"):
-        _build_trainer(plan=FaultPlan([sdc_flip(1, 1)]))
+        sdc_trainer(fault_plan=FaultPlan([sdc_flip(1, 1)]))
 
 
 def test_crash_plan_does_not_require_sdc_check():
-    trainer = _build_trainer(plan=FaultPlan([crash(1, 1)]))
+    trainer = sdc_trainer(fault_plan=FaultPlan([crash(1, 1)]))
     with trainer:
         assert trainer.sdc_check is False
 
 
 def test_audit_time_requires_step_dag():
     with pytest.raises(ValueError, match="step_dag"):
-        _build_trainer(sdc_check=True, sdc_audit_time=1e-3)
+        sdc_trainer(sdc_check=True, sdc_audit_time=1e-3)
     with pytest.raises(ValueError, match="sdc_tolerance"):
-        _build_trainer(sdc_check=True, sdc_tolerance=0.0)
+        sdc_trainer(sdc_check=True, sdc_tolerance=0.0)
 
 
 def test_audit_time_is_an_explicit_priced_knob():
     """Detection cost enters simulated time only via sdc_audit_time."""
     times = {}
     for audit_time in (0.0, 1e-3):
-        trainer = _build_trainer(
+        trainer = sdc_trainer(
             sdc_check=True, step_dag=True, sdc_audit_time=audit_time
         )
         with trainer:
             times[audit_time] = sum(
                 trainer.step().sim_time for _ in range(2)
             )
-    free = _build_trainer(step_dag=True)
+    free = sdc_trainer(step_dag=True)
     with free:
         baseline = sum(free.step().sim_time for _ in range(2))
     assert times[0.0] == baseline  # zero-cost default
