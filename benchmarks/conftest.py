@@ -7,9 +7,16 @@ writes the rendered text to ``benchmarks/out/`` for inspection.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
+
+# Benchmarks cross-check against reference oracles kept in the test
+# suite (``tests.train.overlap_reference``): make the repo root importable.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 
 def emit(name: str, text: str) -> None:

@@ -6,8 +6,9 @@ Two questions the fingerprinting design must answer with numbers:
   outside the simulation, so a clean run's *simulated* time is bit-equal
   with the guard on or off; the wall-clock cost of hashing is measured
   here, and the real-world audit latency enters simulated time only
-  through the explicit ``sdc_audit_time`` knob on the step DAG's gated
-  audit steps.
+  through the explicit ``audit_time`` of the step DAG's gated audit
+  steps (:func:`repro.train.stepdag.compile_bucketed_step`), priced here
+  at the same geometry.
 * **MTTR** — when a flip is caught at the allreduce boundary, quarantine
   and-rerun repeats one collective on the survivors; the classic
   alternative restores the last checkpoint and replays every step since.
@@ -20,8 +21,18 @@ from conftest import emit
 
 import numpy as np
 
+from repro.mpi.datatypes import SizeBuffer
+from repro.mpi.runner import build_world
+from repro.mpi.schedule import ScheduleExecutor
 from repro.train.injection import FaultPlan, sdc_flip
-from repro.train.sdc_chaos import _N_STEPS, SDCChaosPoint, sdc_trainer
+from repro.train.sdc_chaos import (
+    _N_BUCKETS,
+    _N_LEARNERS,
+    _N_STEPS,
+    SDCChaosPoint,
+    sdc_trainer,
+)
+from repro.train.stepdag import compile_bucketed_step
 from repro.utils.ascii import render_table
 
 #: The scripted flip used for the MTTR comparison.
@@ -50,27 +61,41 @@ def _scripted_shrink_times(point):
             if iteration == point.iteration:
                 del grads[point.rank]
                 trainer.absorb_failure(point.rank, reshuffle=False)
-            summed, n = trainer._allreduce(grads)
+            summed, n = trainer.reduce(grads)
             result = trainer.step_apply(summed, n, losses)
             times.append(result.sim_time)
         return times
 
 
+def _audited_step_dag_times(count, audit_time):
+    """Per-step sim times of the audited step DAG (data mode, no compute
+    time) at the sweep's geometry: the same learners, gradient, buckets
+    and fabric as the training job."""
+    sched = compile_bucketed_step(
+        _N_LEARNERS, count, 8, n_buckets=_N_BUCKETS, algorithm="multicolor",
+        audit=True, audit_time=audit_time,
+    )
+    _engine, _world, comm = build_world(_N_LEARNERS, topology="star")
+    bufs = [SizeBuffer(count, 8) for _ in range(_N_LEARNERS)]
+    return [ScheduleExecutor(comm, sched, bufs).run()] * _N_STEPS
+
+
 def run_sdc_ablation():
     out = {}
-    # Clean path: guard off vs on.
-    for check in (False, True):
-        out["on" if check else "off"] = _run(sdc_trainer(sdc_check=check))
+    # Clean path: audit off vs on.
+    for buckets in (None, _N_BUCKETS):
+        label = "off" if buckets is None else "on"
+        out[label] = _run(sdc_trainer(sdc_buckets=buckets))
     # Priced audit: the step DAG's gated audit steps with explicit latency.
+    with sdc_trainer() as trainer:
+        count = trainer.n_params
     for label, audit in (("audit-free", 0.0), ("audit-priced", 5e-4)):
-        out[label] = _run(sdc_trainer(
-            sdc_check=True, step_dag=True, sdc_audit_time=audit
-        ))
+        out[label] = (None, _audited_step_dag_times(count, audit), None)
     # MTTR: one scripted flip, quarantine-and-rerun measured for real.
     plan = FaultPlan([
         sdc_flip(POINT.rank, POINT.iteration, bucket=POINT.bucket)
     ])
-    out["faulted"] = _run(sdc_trainer(fault_plan=plan, sdc_check=True))
+    out["faulted"] = _run(sdc_trainer(fault_plan=plan, sdc_buckets=_N_BUCKETS))
     out["shrink-ref"] = _scripted_shrink_times(POINT)
     return out
 
@@ -113,7 +138,7 @@ def test_ablation_sdc(benchmark):
         ],
         title="Ablation — SDC detection cost "
               f"(wall overhead {overhead:+.0%}; simulated cost 0 unless "
-              "priced via sdc_audit_time)",
+              "priced via the step DAG's audit_time)",
     )
     mttr = render_table(
         ["recovery", "replayed work", "MTTR (sim ms)"],

@@ -20,11 +20,9 @@ from repro.core.calibration import compute_model_for
 from repro.data import IMAGENET_1K
 from repro.models import build_resnet50
 from repro.train import EpochTimeModel
-from repro.train.overlap import (
-    _legacy_simulate_bucketed_overlap,
-    simulate_bucketed_overlap,
-)
+from repro.train.overlap import simulate_bucketed_overlap
 from repro.utils.ascii import render_table
+from tests.train.overlap_reference import legacy_simulate_bucketed_overlap
 
 MODEL = build_resnet50()
 N_NODES = 32
@@ -101,7 +99,7 @@ def run_composition():
             gradient_bytes=MODEL.gradient_bytes // 2, itemsize=2, **kw
         ),
     }
-    legacy = _legacy_simulate_bucketed_overlap(
+    legacy = legacy_simulate_bucketed_overlap(
         gradient_bytes=MODEL.gradient_bytes // 2, itemsize=2, **kw
     )
     return results, legacy

@@ -520,7 +520,7 @@ def _cmd_faults(args) -> int:
             specs = [corrupt_messages(mid, rank=0, count=1)]
         else:  # sdc
             specs = [sdc_flip(1, mid, bucket=0)]
-            trainer_kw = dict(sdc_check=True, step_buckets=2)
+            trainer_kw = dict(sdc_buckets=2)
     else:
         if args.drop_at >= 0:
             specs.append(drop_messages(args.drop_at, count=1))

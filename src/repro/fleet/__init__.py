@@ -6,8 +6,8 @@ See DESIGN.md §4h.  The pieces:
   engine/fabric/world, and the slot/utilization ledger;
 * :class:`~repro.fleet.jobs.JobSpec` / :class:`~repro.fleet.jobs.FleetJob`
   — deterministic job definitions and their runtime training programs;
-* :func:`~repro.fleet.collective.guarded_fleet_allreduce` — a job's
-  allreduce bound to the shared watchdog/retry/surgical-repair guard
+* :class:`~repro.fleet.collective.FleetAttempt` — a job's allreduce
+  attempt for the shared watchdog/retry/surgical-repair guard
   (:mod:`repro.mpi.guard`) on the shared engine;
 * :class:`~repro.fleet.scheduler.FleetScheduler` — gang scheduling,
   pack/spread placement, priority preemption, seeded-backoff requeue,
@@ -20,7 +20,7 @@ See DESIGN.md §4h.  The pieces:
 
 from repro.fleet.chaos import fleet_chaos_sweep
 from repro.fleet.cluster import Node, SharedCluster
-from repro.fleet.collective import JobLost, guarded_fleet_allreduce
+from repro.fleet.collective import FleetAttempt, JobLost
 from repro.fleet.health import HealthPolicy, health_monitor
 from repro.fleet.jobs import (
     FleetJob,
@@ -36,6 +36,7 @@ from repro.fleet.scheduler import (
 )
 
 __all__ = [
+    "FleetAttempt",
     "FleetEvent",
     "FleetJob",
     "FleetReport",
@@ -48,7 +49,6 @@ __all__ = [
     "PreemptionNotice",
     "SharedCluster",
     "fleet_chaos_sweep",
-    "guarded_fleet_allreduce",
     "health_monitor",
     "validate_scripted_lineage",
 ]

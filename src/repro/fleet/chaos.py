@@ -409,7 +409,11 @@ def _check_sdc(point: FleetChaosPoint, run: FleetRun) -> list[str]:
     logs = []
     for check in (True, False):
         clean_specs = [
-            replace(j.spec, sdc_faults=(), sdc_check=check) for j in jobs
+            replace(
+                j.spec, sdc_faults=(),
+                sdc_buckets=j.spec.sdc_buckets if check else None,
+            )
+            for j in jobs
         ]
         clean = _run_fleet(clean_specs, point.placement, SCENARIOS["sdc"].cluster)
         logs.append([str(e) for e in clean.report.events])
@@ -494,11 +498,11 @@ def _sdc(n_jobs: int) -> list[JobSpec]:
     # migration target.
     return [
         JobSpec(name="sickA", n_learners=3, n_steps=6, seed=600,
-                sdc_check=True, sdc_buckets=2, sdc_faults=((1, 1, 0),)),
+                sdc_buckets=2, sdc_faults=((1, 1, 0),)),
         JobSpec(name="sickB", n_learners=3, n_steps=6, seed=601,
-                sdc_check=True, sdc_buckets=2, sdc_faults=((2, 1, 1),)),
+                sdc_buckets=2, sdc_faults=((2, 1, 1),)),
         JobSpec(name="clean", n_learners=3, n_steps=10, seed=602,
-                sdc_check=True, elastic_grow=True),
+                sdc_buckets=2, elastic_grow=True),
     ]
 
 
@@ -600,7 +604,7 @@ def _reference_params(
 
     key = ("params", spec.seed, spec.n_learners, spec.n_steps,
            spec.batch_per_gpu, spec.records_per_learner, spec.reducer,
-           spec.sdc_check, shrinks, grows)
+           spec.sdc_buckets, shrinks, grows)
     return refs.get(key, build)
 
 

@@ -1,10 +1,11 @@
-"""Guarded allreduce for fleet jobs sharing one live engine.
+"""The guarded-allreduce attempt of fleet jobs sharing one live engine.
 
 A fleet job is *one process among many* on the shared cluster engine, so
 it runs the shared guard (:func:`repro.mpi.guard.guard`) with ``yield
-from`` inside its own process instead of driving a private engine.  This
-module supplies the fleet's attempt, which differs from the private one
-of :func:`~repro.mpi.schedule.run_guarded` in four ways (DESIGN §4h):
+from`` inside its own process — through the trainer's audited reduce
+loop — instead of driving a private engine.  This module supplies the
+fleet's attempt, which differs from the private one of
+:func:`~repro.mpi.schedule.run_guarded` in four ways (DESIGN §4h):
 pending victims (dead nodes, controlled shrinks, drains) are absorbed
 before each launch; retry backoff is slept in shared simulated time;
 a failed attempt is abandoned by interrupting its strands only; and each
@@ -16,14 +17,12 @@ attempt and propagates to the job program.
 
 from __future__ import annotations
 
-from collections.abc import Generator
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import ArrayBuffer
-from repro.mpi.guard import CollectiveTelemetry, guard
 from repro.mpi.schedule import ExecutorAttempt
 from repro.mpi.world import Communicator
 from repro.sim.engine import Event
@@ -32,7 +31,7 @@ if TYPE_CHECKING:  # circular at runtime: jobs imports this module
     from repro.fleet.cluster import SharedCluster
     from repro.fleet.jobs import FleetJob
 
-__all__ = ["JobLost", "guarded_fleet_allreduce"]
+__all__ = ["FleetAttempt", "JobLost"]
 
 
 class JobLost(RuntimeError):
@@ -48,7 +47,7 @@ class _Abandoned(Exception):
     """Interrupt cause delivered to a doomed attempt's strand processes."""
 
 
-class _FleetAttempt(ExecutorAttempt):
+class FleetAttempt(ExecutorAttempt):
     """An allreduce attempt over the job's live slots on the shared world."""
 
     sleeps_backoff = True
@@ -100,21 +99,3 @@ class _FleetAttempt(ExecutorAttempt):
     def _detach(self) -> None:
         self.executor.release_observer()
         self.job.active_executor = None
-
-
-def guarded_fleet_allreduce(
-    cluster: SharedCluster,
-    job: FleetJob,
-    grads: list[np.ndarray],
-    telemetry: CollectiveTelemetry | None = None,
-) -> Generator[Event, object, tuple[list[ArrayBuffer], CollectiveTelemetry]]:
-    """Generator: sum ``grads`` across ``job``'s live learners, guarded.
-
-    Yields engine events (run it inside the job's process) under
-    ``job.spec.retry``; returns ``(buffers, telemetry)`` like
-    :func:`~repro.mpi.schedule.run_guarded`.
-    """
-    telemetry = telemetry if telemetry is not None else CollectiveTelemetry()
-    attempt = _FleetAttempt(cluster, job, grads)
-    buffers: list[ArrayBuffer] = yield from guard(attempt, job.spec.retry, telemetry)
-    return buffers, telemetry

@@ -2,11 +2,12 @@
 
 A :class:`FleetJob` wraps one :class:`DistributedSGDTrainer` whose
 compute/apply halves run as a generator process on the shared cluster
-engine; the gradient sum goes through
-:func:`~repro.fleet.collective.guarded_fleet_allreduce` so every job
+engine; the gradient sum goes through the trainer's audited reduce loop
+(:meth:`~repro.train.distributed.DistributedSGDTrainer.audited_reduce`)
+over a :class:`~repro.fleet.collective.FleetAttempt`, so every job
 independently gets the shared guard's watchdog + surgical-repair
-semantics (:mod:`repro.mpi.guard`) while contending with its neighbours
-for links and CPUs.
+semantics (:mod:`repro.mpi.guard`) and the SDC audit while contending
+with its neighbours for links and CPUs.
 
 Fault and preemption semantics:
 
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.fleet.collective import guarded_fleet_allreduce
+from repro.fleet.collective import FleetAttempt
 from repro.mpi.guard import CollectiveTelemetry, RetryPolicy
 from repro.sim.engine import Event, Interrupt
 
@@ -60,7 +61,7 @@ if TYPE_CHECKING:  # circular at runtime: scheduler imports this module
     from repro.fleet.scheduler import FleetScheduler
 from repro.train.checkpoint import TrainerCheckpoint
 from repro.train.distributed import DistributedSGDTrainer
-from repro.train.sdc import SDCDetected, SDCGuard, flip_bit
+from repro.train.sdc import flip_bit
 from repro.train.tiny import build_tiny_trainer, tiny_net_factory
 
 __all__ = [
@@ -111,11 +112,10 @@ class JobSpec:
     #: the grow).
     scripted_grows: tuple[tuple[int, int], ...] = ()
     #: Audit every collective boundary for silent data corruption
-    #: (:mod:`repro.train.sdc`); pure bookkeeping, so a clean run's fleet
-    #: event log is byte-identical with it on or off.
-    sdc_check: bool = False
-    #: Gradient buckets the SDC guard fingerprints per learner.
-    sdc_buckets: int = 2
+    #: (:mod:`repro.train.sdc`) over this many gradient buckets per
+    #: learner; ``None`` turns the audit off.  Pure bookkeeping, so a
+    #: clean run's fleet event log is byte-identical with it on or off.
+    sdc_buckets: int | None = None
     #: SDC injections: ``((iteration, slot, bucket), ...)`` — flip one bit
     #: of that slot's gradient bucket between backward and the collective.
     sdc_faults: tuple[tuple[int, int, int], ...] = ()
@@ -129,11 +129,11 @@ class JobSpec:
             self.n_learners, self.n_steps,
             self.scripted_shrinks, self.scripted_grows,
         )
-        if self.sdc_buckets < 1:
+        if self.sdc_buckets is not None and self.sdc_buckets < 1:
             raise ValueError("sdc_buckets must be >= 1")
-        if self.sdc_faults and not self.sdc_check:
+        if self.sdc_faults and self.sdc_buckets is None:
             raise ValueError(
-                "sdc_faults without sdc_check would poison training "
+                "sdc_faults without sdc_buckets would poison training "
                 "undetected"
             )
         for iteration, slot, bucket in self.sdc_faults:
@@ -350,7 +350,8 @@ class FleetJob:
             if self.saved is not None:
                 ckpt, shrinks, grows = self.saved
                 self.trainer = DistributedSGDTrainer.from_checkpoint(
-                    ckpt, tiny_net_factory(self.spec.n_classes)
+                    ckpt, tiny_net_factory(self.spec.n_classes),
+                    sdc_buckets=self.spec.sdc_buckets,
                 )
                 self.shrink_log = list(shrinks)
                 self.grow_log = list(grows)
@@ -360,7 +361,7 @@ class FleetJob:
                     spec.n_learners, spec.seed, n_classes=spec.n_classes,
                     records_per_learner=spec.records_per_learner,
                     batch_per_gpu=spec.batch_per_gpu, reducer=spec.reducer,
-                    reshuffle_on_shrink=False,
+                    reshuffle_on_shrink=False, sdc_buckets=spec.sdc_buckets,
                 )
                 self.shrink_log = []
                 self.grow_log = []
@@ -383,59 +384,16 @@ class FleetJob:
                     yield engine.timeout(spec.compute_time)
                     grads, losses = trainer.step_compute()
                     grads = self._apply_scripted_shrinks(grads)
-                    guard = pre = None
-                    if spec.sdc_check:
-                        guard = SDCGuard(grads[0].size, spec.sdc_buckets)
-                        # Honest post-backward claims, then the injected
-                        # flip lands between fingerprint and collective.
-                        pre = [guard.fingerprint(g) for g in grads]
-                        self._inject_sdc(grads, guard)
                     telemetry = CollectiveTelemetry()
-                    handled = 0
-                    sdc_retries = 0
-                    while True:
-                        buffers, _ = yield from guarded_fleet_allreduce(
-                            self._cluster, self, grads, telemetry
-                        )
-                        new_victims = telemetry.repaired_ranks[handled:]
-                        for victim in new_victims:
-                            handled += 1
-                            self.record_shrink(trainer.iteration, victim)
-                            trainer.absorb_failure(victim, reshuffle=False)
-                            if guard is not None:
-                                del grads[victim]
-                                del pre[victim]
-                        if guard is None:
-                            break
-                        verdict = guard.check(
-                            pre, grads, [b.array for b in buffers],
-                            recompute=trainer._recompute_grad,
-                        )
-                        if verdict.ok:
-                            break
-                        if not verdict.suspects:
-                            # In-flight corruption spread to every replica:
-                            # retry the collective (transient specs are
-                            # exhausted per attempt), give up if persistent.
-                            sdc_retries += 1
-                            if sdc_retries > spec.retry.max_retries:
-                                raise SDCDetected(verdict, trainer.iteration)
-                            continue
-                        # Quarantine each named corrupter before any
-                        # optimizer apply, then re-run on the survivors.
-                        for offset, suspect in enumerate(
-                            sorted(verdict.suspects)
-                        ):
-                            slot = suspect - offset
-                            self._scheduler.on_sdc(
-                                self, slot, self.placement[slot],
-                                verdict.detail,
-                            )
-                            self.record_shrink(trainer.iteration, slot)
-                            trainer.absorb_failure(slot, reshuffle=False)
-                            self.drop_slot(slot)
-                            del grads[slot]
-                            del pre[slot]
+                    buffers = yield from trainer.audited_reduce(
+                        grads,
+                        lambda live: FleetAttempt(self._cluster, self, live),
+                        spec.retry,
+                        telemetry,
+                        inject=self._inject_sdc,
+                        absorb=self._absorb,
+                        quarantine=self._quarantine,
+                    )
                     trainer.step_apply(buffers[0].array, len(buffers), losses)
                     self.telemetry.steps += 1
                     self.telemetry.retries += telemetry.retries
@@ -471,15 +429,32 @@ class FleetJob:
         contribution — so the scripted run's sums, LR rescales and record
         deals land identically to the faulted run's.
         """
-        trainer = self.trainer
-        for slot in self._scripted.get(trainer.iteration, ()):
+        for slot in self._scripted.get(self.trainer.iteration, ()):
             del grads[slot]
-            self.record_shrink(trainer.iteration, slot)
-            trainer.absorb_failure(slot, reshuffle=False)
+            self._absorb(slot)
             self.drop_slot(slot)
         return grads
 
-    def _inject_sdc(self, grads: list[np.ndarray], guard: SDCGuard) -> None:
+    def _absorb(self, slot: int) -> None:
+        """Shrink the trainer by one learner and log it in the lineage.
+
+        Fleet shrinks never run the Algorithm 2 reshuffle, whatever the
+        trainer's ``reshuffle_on_shrink``: the job's data plane only
+        re-deals the lost learner's records.
+        """
+        self.record_shrink(self.trainer.iteration, slot)
+        self.trainer.absorb_failure(slot, reshuffle=False)
+
+    def _quarantine(self, slot: int, detail: str) -> None:
+        """Expel a learner the SDC audit named: book the strike against
+        its node, shrink, then free the slot."""
+        self._scheduler.on_sdc(self, slot, self.placement[slot], detail)
+        self._absorb(slot)
+        self.drop_slot(slot)
+
+    def _inject_sdc(
+        self, grads: list[np.ndarray], ranges: list[tuple[int, int]]
+    ) -> None:
         """Fire this iteration's scripted SDC flips (mid-bucket bit 62).
 
         A slot whose learner is already gone (shrunk earlier in the
@@ -489,7 +464,7 @@ class FleetJob:
         for slot, bucket in self._sdc_by_iter.get(self.trainer.iteration, ()):
             if slot >= len(grads):
                 continue
-            lo, hi = guard.ranges[bucket]
+            lo, hi = ranges[bucket]
             flip_bit(grads[slot], lo + (hi - lo) // 2)
             self.sdc_injected.append((self.trainer.iteration, slot, bucket))
 

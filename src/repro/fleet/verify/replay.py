@@ -98,7 +98,7 @@ def trace_specs(bounds: Bounds, trace: tuple[Event, ...]) -> list[JobSpec]:
             # abstraction); the replay matches it.
             checkpoint_every=1,
             checkpoint_time=1e-4,
-            sdc_check=bool(sdc_faults),
+            sdc_buckets=2 if sdc_faults else None,
             sdc_faults=tuple(sdc_faults),
         ))
     return specs

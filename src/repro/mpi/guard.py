@@ -10,10 +10,11 @@ retry with geometric backoff until :class:`RetryPolicy` gives up with
 :class:`CollectiveTimeout`; anything else (a fleet preemption) rolls
 back and propagates.  What differs between planes is an :class:`Attempt`;
 the bindings are :func:`~repro.mpi.schedule.run_guarded`,
-:func:`~repro.data.guard.run_shuffle_guarded` (both private engines,
-driven by :func:`drive`) and
-:func:`~repro.fleet.collective.guarded_fleet_allreduce` (the shared
-fleet engine).  DESIGN §4f tabulates the attempt hooks per plane.
+:func:`~repro.data.guard.run_shuffle_guarded` and the trainer's
+gradient sum (private engines, driven by :func:`drive`), and
+:class:`~repro.fleet.collective.FleetAttempt` (the shared fleet engine,
+run with ``yield from``).  DESIGN §4f tabulates the attempt hooks per
+plane.
 """
 
 from __future__ import annotations

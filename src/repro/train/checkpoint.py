@@ -11,7 +11,8 @@ A checkpoint captures everything the trainer's state math depends on:
   records and labels (partitions drift across shuffles and elastic
   shrinks, so the map must travel with the weights),
 * the hyperparameter configuration, including the (possibly rescaled)
-  LR schedule.
+  LR schedule, and the recovery policy (``lr_rescale``,
+  ``reshuffle_on_shrink``) and fabric ``topology``.
 
 Restore is **bit-exact**: a run interrupted at iteration *k* and resumed
 from its checkpoint produces weights identical to an uninterrupted run —
@@ -80,6 +81,11 @@ class TrainerCheckpoint:
     dpt_variant: str
     shuffle_every: int | None
     schedule: WarmupStepSchedule
+    # Recovery policy and fabric.  The defaults equal the trainer's, so
+    # checkpoints pickled before these fields existed still load.
+    lr_rescale: str = "linear"
+    reshuffle_on_shrink: bool = True
+    topology: str = "star"
 
     # -- capture ------------------------------------------------------------
     @classmethod
@@ -102,6 +108,9 @@ class TrainerCheckpoint:
             dpt_variant=trainer.dpt_variant,
             shuffle_every=trainer.shuffle_every,
             schedule=trainer.schedule,
+            lr_rescale=trainer.lr_rescale,
+            reshuffle_on_shrink=trainer.reshuffle_on_shrink,
+            topology=trainer.topology,
         )
 
     # -- restore ------------------------------------------------------------
@@ -129,6 +138,9 @@ class TrainerCheckpoint:
             dpt_variant=self.dpt_variant,
             seed=self.seed,
             shuffle_every=self.shuffle_every,
+            lr_rescale=self.lr_rescale,
+            reshuffle_on_shrink=self.reshuffle_on_shrink,
+            topology=self.topology,
         )
         kwargs.update(overrides)
         trainer = trainer_cls(network_factory, stores, **kwargs)

@@ -34,8 +34,9 @@ without losing or duplicating a single record.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
@@ -48,10 +49,19 @@ from repro.dpt.table import (
 )
 from repro.models.nn.network import Network
 from repro.mpi.collectives import ALLREDUCE_COMPILERS
-from repro.mpi.datatypes import ArrayBuffer
-from repro.mpi.guard import CollectiveTelemetry, RankFailure, RetryPolicy
-from repro.mpi.schedule import run_guarded
+from repro.mpi.datatypes import ArrayBuffer, Buffer
+from repro.mpi.guard import (
+    Attempt,
+    CollectiveTelemetry,
+    RankFailure,
+    RetryPolicy,
+    drive,
+    guard,
+)
+from repro.mpi.schedule import ExecutorAttempt
+from repro.sim.engine import Event
 from repro.train.injection import FaultEvent, FaultInjector, FaultPlan
+from repro.train.sdc import SDCDetected, SDCGuard
 from repro.train.schedule import WarmupStepSchedule
 from repro.utils.rng import rng_for
 
@@ -96,14 +106,7 @@ class DistributedSGDTrainer:
         lr_rescale: str = "linear",
         reshuffle_on_shrink: bool = True,
         topology: str = "star",
-        step_dag: bool = False,
-        step_fwd_time: float = 0.0,
-        step_bwd_time: float = 0.0,
-        step_buckets: int = 1,
-        sdc_check: bool = False,
-        sdc_tolerance: float = 16.0,
-        sdc_recompute: bool = True,
-        sdc_audit_time: float = 0.0,
+        sdc_buckets: int | None = None,
     ):
         """
         Parameters
@@ -144,45 +147,19 @@ class DistributedSGDTrainer:
             Fabric the simulated collectives (allreduce *and* shuffle) run
             on: ``"star"`` (default), ``"ring"``, ``"full_mesh"`` or
             ``"fat_tree"``.
-        step_dag:
-            Route iteration timing through the unified training-step DAG
-            (:func:`repro.train.stepdag.compile_bucketed_step`): forward/
-            backward compute steps, per-bucket allreduces and the update
-            compile into *one* schedule run under the same guarded loop,
-            so the watchdog, attribution and surgical repair cover compute
-            stalls too, and ``sim_time`` reflects compute/comm overlap.
-            Gradient numerics are bit-identical to ``step_dag=False`` (the
-            data-mode compute steps never touch memory).  Requires a
-            simulated reducer.
-        step_fwd_time / step_bwd_time:
-            Per-iteration forward/backward GPU seconds the step DAG prices
-            (e.g. from :meth:`GPUComputeModel.step_time`).
-        step_buckets:
-            Gradient buckets for backward/allreduce overlap in the step
-            DAG.
-        sdc_check:
+        sdc_buckets:
             Audit every allreduce boundary for silent data corruption
-            (:mod:`repro.train.sdc`): each learner fingerprints its
-            gradient buckets after backward, and before any update
-            applies the group cross-checks replica agreement and the
-            allreduce's linearity.  A named corrupter is *quarantined*
-            (elastic shrink) and the iteration re-runs on the survivors,
-            bit-exact versus a scripted shrink; an unattributable hit
-            (in-flight corruption spread to every replica) retries the
-            collective.  Pure bookkeeping outside the simulation: clean
-            runs are byte-identical to ``sdc_check=False``.  Requires a
-            simulated reducer.
-        sdc_tolerance:
-            Tolerance factor for the linearity checksum (multiplies the
-            standard recursive-summation error bound).
-        sdc_recompute:
-            Confirm a single suspect by deterministically recomputing its
-            corrupted bucket from the batch RNG.
-        sdc_audit_time:
-            Modeled GPU seconds (per whole gradient) the step DAG prices
-            for the fingerprint audit steps; requires ``step_dag`` and
-            defaults to 0.0 (audit steps exist but cost nothing, keeping
-            timings bit-identical).
+            (:mod:`repro.train.sdc`) over this many gradient buckets;
+            ``None`` turns the audit off.  Each learner fingerprints its
+            buckets after backward, and before any update applies the
+            group cross-checks replica agreement and the allreduce's
+            linearity.  A named corrupter is *quarantined* (elastic
+            shrink) and the iteration re-runs on the survivors, bit-exact
+            versus a scripted shrink; an unattributable hit (in-flight
+            corruption spread to every replica) retries the collective.
+            Pure bookkeeping outside the simulation: clean runs are
+            byte-identical to audit-off runs.  Requires a simulated
+            reducer.
         """
         if not stores:
             raise ValueError("need at least one learner store")
@@ -202,30 +179,14 @@ class DistributedSGDTrainer:
             )
         if lr_rescale not in ("linear", "none"):
             raise ValueError(f"unknown lr_rescale {lr_rescale!r}")
-        if step_dag and reducer == "exact":
+        if sdc_buckets is not None and sdc_buckets < 1:
+            raise ValueError("sdc_buckets must be >= 1")
+        if sdc_buckets is not None and reducer == "exact":
             raise ValueError(
-                "step_dag compiles compute+comm into one simulated "
-                "schedule; reducer='exact' bypasses the simulation"
-            )
-        if step_buckets < 1:
-            raise ValueError("step_buckets must be >= 1")
-        if step_fwd_time < 0 or step_bwd_time < 0:
-            raise ValueError("step compute times must be >= 0")
-        if sdc_check and reducer == "exact":
-            raise ValueError(
-                "sdc_check audits the simulated allreduce boundary; "
+                "sdc_buckets audits the simulated allreduce boundary; "
                 "reducer='exact' bypasses it"
             )
-        if sdc_tolerance <= 0:
-            raise ValueError("sdc_tolerance must be > 0")
-        if sdc_audit_time < 0:
-            raise ValueError("sdc_audit_time must be >= 0")
-        if sdc_audit_time > 0 and not step_dag:
-            raise ValueError(
-                "sdc_audit_time prices the step DAG's audit steps; "
-                "it needs step_dag=True"
-            )
-        if fault_plan is not None and not sdc_check:
+        if fault_plan is not None and sdc_buckets is None:
             from repro.train.injection import FAULT_KINDS
             compute_kinds = sorted({
                 s.kind for s in fault_plan.specs
@@ -234,7 +195,7 @@ class DistributedSGDTrainer:
             if compute_kinds:
                 raise ValueError(
                     f"fault plan injects compute-plane kind(s) "
-                    f"{compute_kinds} but sdc_check is off — the flips "
+                    f"{compute_kinds} but the SDC audit is off — the flips "
                     "would poison training undetected"
                 )
         self.gpus_per_node = gpus_per_node
@@ -250,14 +211,7 @@ class DistributedSGDTrainer:
         self.lr_rescale = lr_rescale
         self.reshuffle_on_shrink = reshuffle_on_shrink
         self.topology = topology
-        self.step_dag = step_dag
-        self.step_fwd_time = step_fwd_time
-        self.step_bwd_time = step_bwd_time
-        self.step_buckets = step_buckets
-        self.sdc_check = sdc_check
-        self.sdc_tolerance = sdc_tolerance
-        self.sdc_recompute = sdc_recompute
-        self.sdc_audit_time = sdc_audit_time
+        self.sdc_buckets = sdc_buckets
         self.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
@@ -328,7 +282,7 @@ class DistributedSGDTrainer:
     def step(self) -> TrainStepResult:
         """One iteration of Algorithm 1 across all live learners."""
         per_learner_grads, losses = self.step_compute()
-        summed, n_contributing = self._allreduce(per_learner_grads)
+        summed, n_contributing = self.reduce(per_learner_grads)
         return self.step_apply(summed, n_contributing, losses)
 
     def step_compute(self) -> tuple[list[np.ndarray], list[float]]:
@@ -336,8 +290,8 @@ class DistributedSGDTrainer:
 
         Pure local compute — deterministic given ``(seed, learner_ids,
         iteration)`` and the current stores, with no simulated
-        communication.  Split out so an external driver (the fleet
-        scheduler) can run the collective phase on its own shared fabric
+        communication.  Split out so an external driver (the fleet job
+        program) can run the collective phase on its own shared fabric
         between :meth:`step_compute` and :meth:`step_apply`.
         """
         self._step_stats = _StepStats()
@@ -351,10 +305,121 @@ class DistributedSGDTrainer:
             losses.append(loss)
         return per_learner_grads, losses
 
+    def reduce(self, grads: list[np.ndarray]) -> tuple[np.ndarray, int]:
+        """Phase 2 of :meth:`step`: sum gradients across live learners.
+
+        Returns ``(summed, n_contributing)``: a permanent rank loss during
+        the collective shrinks the trainer mid-call, in which case the sum
+        covers the survivors only and ``n_contributing < len(grads)``.
+        The collective runs on a private engine per attempt
+        (:func:`~repro.mpi.guard.drive`) under :meth:`audited_reduce`.
+        """
+        if self.reducer == "exact" or self.n_learners == 1:
+            return np.sum(grads, axis=0), len(grads)
+
+        def attempt(live: list[np.ndarray]) -> ExecutorAttempt:
+            return ExecutorAttempt(
+                ALLREDUCE_COMPILERS[self.reducer],
+                [ArrayBuffer(g.copy()) for g in live],
+                topology=self.topology,
+                tag=("it", self.iteration),
+                fault_injector=self.fault_injector,
+                iteration=self.iteration,
+            )
+
+        telemetry = CollectiveTelemetry()
+        try:
+            buffers = drive(self.audited_reduce(
+                grads, attempt, self.retry, telemetry,
+                inject=self._inject_compute_faults,
+                absorb=self._shrink_state,
+                quarantine=lambda slot, _detail: self._shrink_state(slot),
+            ))
+        finally:
+            self._fold(telemetry)
+        return buffers[0].array, len(buffers)
+
+    def audited_reduce(
+        self,
+        grads: list[np.ndarray],
+        attempt: Callable[[list[np.ndarray]], Attempt],
+        retry: RetryPolicy,
+        telemetry: CollectiveTelemetry,
+        *,
+        inject: Callable[[list[np.ndarray], list[tuple[int, int]]], None],
+        absorb: Callable[[int], None],
+        quarantine: Callable[[int, str], None],
+    ) -> Generator[Event, Any, list[Buffer]]:
+        """Generator: the guarded, SDC-audited gradient sum of one step.
+
+        The one loop behind :meth:`reduce` (private engines) and the
+        fleet job program (``yield from`` on the shared engine).  With
+        ``sdc_buckets`` set, every learner's gradient is fingerprinted,
+        then ``inject(grads, bucket_ranges)`` fires this step's scripted
+        flips.  Each pass runs ``guard(attempt(live_grads), retry,
+        telemetry)``; every victim the guard repaired around goes to
+        ``absorb(slot)``.  The audit then checks the reduced buffers: a
+        named corrupter is logged, handed to ``quarantine(slot, detail)``
+        and the sum re-runs on the survivors; an unattributable hit
+        re-runs as is, at most ``retry.max_retries`` times before
+        :class:`~repro.train.sdc.SDCDetected`.  Returns the committed
+        survivor buffers.
+        """
+        grads = list(grads)
+        sdc_guard = pre = None
+        if self.sdc_buckets is not None:
+            sdc_guard = SDCGuard(grads[0].size, self.sdc_buckets)
+            # Each rank's post-backward claim, digested *before* any
+            # compute fault fires: the flip lands between the fingerprint
+            # and the send, exactly the window a silent GPU fault occupies.
+            pre = [sdc_guard.fingerprint(g) for g in grads]
+            inject(grads, sdc_guard.ranges)
+        repaired = 0
+        unattributed = 0
+        while True:
+            buffers = yield from guard(attempt(grads), retry, telemetry)
+            # The collective already completed on the survivor group —
+            # absorb each victim's learner state now.
+            for victim in telemetry.repaired_ranks[repaired:]:
+                repaired += 1
+                absorb(victim)
+                del grads[victim]
+                if pre is not None:
+                    del pre[victim]
+            if sdc_guard is None:
+                return buffers
+            verdict = sdc_guard.check(
+                pre, grads, [b.array for b in buffers],
+                recompute=self._recompute_grad,
+            )
+            if verdict.ok:
+                return buffers
+            if verdict.suspects:
+                # Quarantine each named corrupter before any optimizer
+                # apply, then re-run on the survivors from their
+                # already-computed honest gradients.
+                for offset, suspect in enumerate(sorted(verdict.suspects)):
+                    self._note_sdc(suspect, verdict.detail, telemetry.sim_time)
+                    slot = suspect - offset
+                    self._step_stats.quarantined.append(self.learner_ids[slot])
+                    quarantine(slot, verdict.detail)
+                    del grads[slot]
+                    del pre[slot]
+                continue
+            # Detected but unattributable: corruption in flight that
+            # spread to every replica (no rank's fed data contradicts its
+            # claim).  Retry the collective — transient faults are
+            # exhausted per attempt — and give up only if it persists.
+            self._note_sdc(None, verdict.detail, telemetry.sim_time)
+            unattributed += 1
+            if unattributed > retry.max_retries:
+                raise SDCDetected(verdict, self.iteration)
+            self._step_stats.retries += 1
+
     def step_apply(
         self, summed: np.ndarray, n_contributing: int, losses: list[float]
     ) -> TrainStepResult:
-        """Phase 2 of :meth:`step`: apply the reduced gradient everywhere.
+        """Phase 3 of :meth:`step`: apply the reduced gradient everywhere.
 
         ``summed`` is the gradient sum over the ``n_contributing`` learners
         that completed the collective (fewer than computed when a permanent
@@ -546,153 +611,25 @@ class DistributedSGDTrainer:
         self.close()
 
     # -- internals ----------------------------------------------------------
-    def _step_compiler(self):
-        """The schedule compiler :meth:`_allreduce` hands to ``run_guarded``.
-
-        With ``step_dag=True`` the whole iteration — forward/backward
-        compute, bucketed allreduce and the parameter update — compiles to
-        one unified Schedule in data memory mode, so the guarded loop's
-        watchdog, attribution and surgical repair cover compute stalls too
-        while the gradient numerics stay bit-identical to the plain
-        collective (compute steps never touch the buffers).
-        """
-        if not self.step_dag:
-            return ALLREDUCE_COMPILERS[self.reducer]
-        from repro.train.stepdag import compile_bucketed_step
-
-        def compiler(n, count, itemsize, **kwargs):
-            return compile_bucketed_step(
-                n, count, itemsize,
-                forward_time=self.step_fwd_time,
-                backward_time=self.step_bwd_time,
-                n_buckets=self.step_buckets,
-                algorithm=self.reducer,
-                memory="data",
-                audit=self.sdc_check,
-                audit_time=self.sdc_audit_time,
-                **kwargs,
+    def _inject_compute_faults(
+        self, grads: list[np.ndarray], ranges: list[tuple[int, int]]
+    ) -> None:
+        """Fire the fault plan's compute-plane flips for this iteration."""
+        if self.fault_injector is not None:
+            # The guard only harvests injector events recorded after it
+            # arms; these fire before the first attempt launches.
+            self._step_stats.fault_events.extend(
+                self.fault_injector.apply_compute_faults(
+                    grads, self.iteration, bucket_ranges=ranges,
+                )
             )
 
-        return compiler
-
-    def _allreduce(self, grads: list[np.ndarray]) -> tuple[np.ndarray, int]:
-        """Sum gradients across live learners.
-
-        Returns ``(summed, n_contributing)``: a permanent rank loss during
-        the collective shrinks the trainer mid-call, in which case the sum
-        covers the survivors only and ``n_contributing < len(grads)``.
-        """
-        if self.reducer == "exact" or self.n_learners == 1:
-            return np.sum(grads, axis=0), len(grads)
-        # The watchdog/retry/diagnosis/repair loop is the shared guard
-        # (run_guarded); the trainer keeps only the shrink policy.
-        compiler = self._step_compiler()
-        telemetry = CollectiveTelemetry()
-        repaired_handled = 0
-        guard = pre = None
-        sdc_retries = 0
-        if self.sdc_check:
-            from repro.train.sdc import SDCDetected, SDCGuard
-
-            guard = SDCGuard(
-                grads[0].size, self.step_buckets,
-                tolerance_factor=self.sdc_tolerance,
-            )
-            # Each rank's post-backward claim, digested *before* any
-            # compute fault fires: the injected flip lands between the
-            # fingerprint and the send, exactly the window a silent GPU
-            # fault occupies.
-            pre = [guard.fingerprint(g) for g in grads]
-            if self.fault_injector is not None:
-                fired = self.fault_injector.apply_compute_faults(
-                    grads, self.iteration, bucket_ranges=guard.ranges,
-                )
-                # run_guarded only harvests injector events recorded
-                # after it arms; these fired before it is entered.
-                self._step_stats.fault_events.extend(fired)
-        try:
-            while True:
-                buffers, _ = run_guarded(
-                    compiler,
-                    lambda: [ArrayBuffer(g.copy()) for g in grads],
-                    retry=self.retry,
-                    topology=self.topology,
-                    tag=("it", self.iteration),
-                    fault_injector=self.fault_injector,
-                    iteration=self.iteration,
-                    telemetry=telemetry,
-                )
-                # The collective already completed on the survivor group —
-                # absorb each victim's learner state now.
-                new_victims = telemetry.repaired_ranks[repaired_handled:]
-                for victim in new_victims:
-                    repaired_handled += 1
-                    self._shrink_state(victim)
-                if new_victims and guard is not None:
-                    # Keep the gradient/fingerprint lists aligned with the
-                    # survivor group in case the audit forces a re-run.
-                    for victim in new_victims:
-                        grads = [
-                            g for slot, g in enumerate(grads)
-                            if slot != victim
-                        ]
-                        pre = [
-                            fp for slot, fp in enumerate(pre)
-                            if slot != victim
-                        ]
-                if guard is None:
-                    return buffers[0].array, len(buffers)
-                verdict = guard.check(
-                    pre, grads, [b.array for b in buffers],
-                    recompute=(
-                        self._recompute_grad if self.sdc_recompute else None
-                    ),
-                )
-                if verdict.ok:
-                    return buffers[0].array, len(buffers)
-                if verdict.suspects:
-                    # Attribute → quarantine each named corrupter (an
-                    # elastic shrink) and re-run on the survivors from
-                    # the already-snapshotted honest gradients.
-                    suspects = sorted(verdict.suspects)
-                    gone = set(suspects)
-                    for offset, suspect in enumerate(suspects):
-                        event = FaultEvent(
-                            "sdc-detect", self.iteration, suspect,
-                            telemetry.sim_time, verdict.detail,
-                        )
-                        self._step_stats.fault_events.append(event)
-                        if self.fault_injector is not None:
-                            self.fault_injector.record(event)
-                        slot = suspect - offset
-                        self._step_stats.quarantined.append(
-                            self.learner_ids[slot]
-                        )
-                        self._shrink_state(slot)
-                    grads = [
-                        g for slot, g in enumerate(grads) if slot not in gone
-                    ]
-                    pre = [
-                        fp for slot, fp in enumerate(pre) if slot not in gone
-                    ]
-                    continue
-                # Detected but unattributable: corruption in flight that
-                # spread to every replica (no rank's fed data contradicts
-                # its claim).  Retry the collective — transient faults are
-                # exhausted per attempt — and only give up if it persists.
-                event = FaultEvent(
-                    "sdc-detect", self.iteration, None,
-                    telemetry.sim_time, verdict.detail,
-                )
-                self._step_stats.fault_events.append(event)
-                if self.fault_injector is not None:
-                    self.fault_injector.record(event)
-                sdc_retries += 1
-                if sdc_retries > self.retry.max_retries:
-                    raise SDCDetected(verdict, self.iteration)
-                self._step_stats.retries += 1
-        finally:
-            self._fold(telemetry)
+    def _note_sdc(self, rank: int | None, detail: str, now: float) -> None:
+        """Log one SDC detection (``rank=None``: unattributable)."""
+        event = FaultEvent("sdc-detect", self.iteration, rank, now, detail)
+        self._step_stats.fault_events.append(event)
+        if self.fault_injector is not None:
+            self.fault_injector.record(event)
 
     def _recompute_grad(self, slot: int, lo: int, hi: int) -> np.ndarray:
         """Deterministically regenerate one learner's gradient window.

@@ -393,8 +393,8 @@ class FaultInjector:
         Flips ``count`` evenly spread bits inside the spec's bucket of
         the target rank's gradient, in place.  Returns the events fired
         (also recorded), so the caller can fold them into step telemetry
-        — :func:`~repro.mpi.schedule.run_guarded` only harvests events
-        recorded after *it* arms, and these fire before it is entered.
+        — the guard (:func:`~repro.mpi.guard.guard`) only harvests events
+        recorded after an attempt arms, and these fire before the first.
         """
         from repro.train.sdc import FLIP_BIT, flip_bit
 

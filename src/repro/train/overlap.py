@@ -25,8 +25,8 @@ Two fidelity levels:
   the dependency structure instead of a bespoke bucket-release driver,
   and the same schedule is provable by :mod:`repro.mpi.verify`.
 
-The retired bucket-release driver survives as
-:func:`_legacy_simulate_bucketed_overlap`, the independent reference the
+The retired bucket-release driver lives on in the test suite
+(``tests/train/overlap_reference.py``) as the independent reference the
 unified DAG is cross-checked against (CI asserts agreement within 1%).
 """
 
@@ -75,6 +75,13 @@ class OverlapResult:
         return 1.0 - self.iteration_time / self.serial_iteration_time
 
 
+def _check_overlap_args(forward_time, backward_time, gradient_bytes, n_buckets):
+    if forward_time < 0 or backward_time < 0:
+        raise ValueError("compute times must be >= 0")
+    if gradient_bytes < 1 or n_buckets < 1:
+        raise ValueError("gradient_bytes and n_buckets must be >= 1")
+
+
 def bucketed_iteration_time(
     *,
     forward_time: float,
@@ -92,10 +99,7 @@ def bucketed_iteration_time(
     ``forward_time + backward_time * (i+1)/n`` and its allreduce runs as
     soon as both the bucket and the NIC are free.
     """
-    if forward_time < 0 or backward_time < 0:
-        raise ValueError("compute times must be >= 0")
-    if gradient_bytes < 1 or n_buckets < 1:
-        raise ValueError("gradient_bytes and n_buckets must be >= 1")
+    _check_overlap_args(forward_time, backward_time, gradient_bytes, n_buckets)
     bucket_bytes = gradient_bytes // n_buckets
     bucket_comm = allreduce_time(max(1, bucket_bytes))
     full_comm = allreduce_time(gradient_bytes)
@@ -112,28 +116,6 @@ def bucketed_iteration_time(
         iteration_time=max(compute, nic_free),
         serial_iteration_time=compute + full_comm,
     )
-
-
-def _default_segment_bytes(bucket_bytes: int) -> int:
-    """Pipeline segment rule used by the Figure 5/6 benchmarks."""
-    return max(64 * 1024, bucket_bytes // 16)
-
-
-def _seg_rule(segment_bytes) -> Callable[[int], int]:
-    def seg_for(nbytes: int) -> int:
-        if segment_bytes is None:
-            return _default_segment_bytes(nbytes)
-        if callable(segment_bytes):
-            return segment_bytes(nbytes)
-        return segment_bytes
-    return seg_for
-
-
-def _check_overlap_args(forward_time, backward_time, gradient_bytes, n_buckets):
-    if forward_time < 0 or backward_time < 0:
-        raise ValueError("compute times must be >= 0")
-    if gradient_bytes < 1 or n_buckets < 1:
-        raise ValueError("gradient_bytes and n_buckets must be >= 1")
 
 
 def simulate_bucketed_overlap(
@@ -172,7 +154,7 @@ def simulate_bucketed_overlap(
     from repro.mpi.runner import build_world
     from repro.mpi.schedule import ExecutionProgress, ScheduleExecutor
     from repro.net.params import CONNECTX5_DUAL
-    from repro.train.stepdag import compile_bucketed_step
+    from repro.train.stepdag import _segment_rule, compile_bucketed_step
 
     _check_overlap_args(forward_time, backward_time, gradient_bytes, n_buckets)
     try:
@@ -185,7 +167,7 @@ def simulate_bucketed_overlap(
     network = network if network is not None else CONNECTX5_DUAL
     compute = forward_time + backward_time
     count = max(1, gradient_bytes // itemsize)
-    seg_for = _seg_rule(segment_bytes)
+    seg_for = _segment_rule(segment_bytes)
 
     # Serial baseline: compute, then one full-gradient allreduce (own world
     # so its traffic does not pollute the overlapped run).
@@ -255,93 +237,4 @@ def simulate_bucketed_overlap(
         iteration_time=max(compute, elapsed),
         serial_iteration_time=serial_time,
         bucket_spans=tuple(spans),
-    )
-
-
-def _legacy_simulate_bucketed_overlap(
-    *,
-    n_ranks: int,
-    forward_time: float,
-    backward_time: float,
-    gradient_bytes: int,
-    n_buckets: int,
-    algorithm: str = "multicolor",
-    itemsize: int = 4,
-    topology: str = "fat_tree",
-    network=None,
-    serialize_buckets: bool = True,
-    segment_bytes: Callable[[int], int] | int | None = None,
-    **alg_kwargs,
-) -> OverlapResult:
-    """The retired bucket-release driver, kept as a reference oracle.
-
-    One executor *per bucket*, released by a driver process at the
-    gradient-ready time ``forward + backward * (i+1)/n`` (and, with
-    ``serialize_buckets``, not before bucket *i-1* finished).  The unified
-    step DAG in :func:`simulate_bucketed_overlap` must reproduce this
-    estimate within 1% — the cross-check the CI composition smoke runs.
-    Not part of the public API.
-    """
-    from repro.mpi.collectives import ALLREDUCE_COMPILERS
-    from repro.mpi.datatypes import SizeBuffer, chunk_ranges
-    from repro.mpi.runner import build_world
-    from repro.mpi.schedule import ScheduleExecutor
-    from repro.net.params import CONNECTX5_DUAL
-
-    _check_overlap_args(forward_time, backward_time, gradient_bytes, n_buckets)
-    compiler = ALLREDUCE_COMPILERS[algorithm]
-    network = network if network is not None else CONNECTX5_DUAL
-    compute = forward_time + backward_time
-    count = max(1, gradient_bytes // itemsize)
-    seg_for = _seg_rule(segment_bytes)
-
-    def compile_for(n_elems: int) -> object:
-        return compiler(
-            n_ranks, n_elems, itemsize,
-            segment_bytes=seg_for(n_elems * itemsize), **alg_kwargs,
-        )
-
-    engine, world, comm = build_world(n_ranks, topology=topology, network=network)
-    bufs = [SizeBuffer(count, itemsize) for _ in range(n_ranks)]
-    full = ScheduleExecutor(comm, compile_for(count), bufs)
-    serial_time = compute + full.run()
-
-    engine, world, comm = build_world(n_ranks, topology=topology, network=network)
-    spans: list[list[float]] = [[0.0, 0.0] for _ in range(n_buckets)]
-    bucket_sizes = [hi - lo for lo, hi in chunk_ranges(count, n_buckets)]
-
-    def driver():
-        dones = []
-        prev_done = None
-        for i, n_elems in enumerate(bucket_sizes):
-            ready = forward_time + backward_time * (i + 1) / n_buckets
-            if engine.now < ready:
-                yield engine.timeout(ready - engine.now)
-            if serialize_buckets and prev_done is not None:
-                yield prev_done  # already-triggered events resume immediately
-            if n_elems < 1:
-                continue
-            bucket_bufs = [SizeBuffer(n_elems, itemsize) for _ in range(n_ranks)]
-            executor = ScheduleExecutor(
-                comm, compile_for(n_elems), bucket_bufs, tag=("bkt", i)
-            )
-            done = executor.launch()
-            spans[i][0] = engine.now
-            done.callbacks.append(
-                lambda _ev, i=i: spans[i].__setitem__(1, engine.now)
-            )
-            dones.append(done)
-            prev_done = done
-        for done in dones:
-            yield done
-
-    engine.run(engine.process(driver(), name="bucket-driver"))
-    last_done = max((s[1] for s in spans), default=0.0)
-    return OverlapResult(
-        n_buckets=n_buckets,
-        compute_time=compute,
-        total_comm_time=sum(s[1] - s[0] for s in spans),
-        iteration_time=max(compute, last_done),
-        serial_iteration_time=serial_time,
-        bucket_spans=tuple((s[0], s[1]) for s in spans),
     )

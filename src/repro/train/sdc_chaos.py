@@ -68,37 +68,37 @@ class SDCChaosPoint:
 
 def sdc_trainer(**overrides) -> DistributedSGDTrainer:
     """The sweep's training job: the tiny job with its group geometry,
-    data drawn from seed 0 and initial weights from seed 11."""
-    defaults = dict(seed=11, reshuffle_on_shrink=False, step_buckets=_N_BUCKETS)
+    data drawn from seed 0 and initial weights from seed 11.  The SDC
+    audit is off unless ``sdc_buckets`` is passed."""
+    defaults = dict(seed=11, reshuffle_on_shrink=False)
     return build_tiny_trainer(_N_LEARNERS, 0, **(defaults | overrides))
 
 
-def _scripted_reference(rank: int, iteration: int, **overrides) -> np.ndarray:
+def _scripted_reference(rank: int, iteration: int) -> np.ndarray:
     """Final params of a fault-free run that sheds ``rank`` at
-    ``iteration`` as a controlled shrink (the repair target).  Pass the
-    faulted run's mode switches (e.g. ``step_dag=True``) as overrides so
-    the reference reduces in the identical association order."""
-    trainer = sdc_trainer(**overrides)
+    ``iteration`` as a controlled shrink (the repair target)."""
+    trainer = sdc_trainer()
     with trainer:
         for it in range(_N_STEPS):
             grads, losses = trainer.step_compute()
             if it == iteration:
                 del grads[rank]
                 trainer.absorb_failure(rank, reshuffle=False)
-            summed, n = trainer._allreduce(grads)
+            summed, n = trainer.reduce(grads)
             trainer.step_apply(summed, n, losses)
         return trainer.params()
 
 
-def _clean_run(refs: References, sdc_check: bool) -> tuple[np.ndarray, list]:
-    """Fault-free run with the guard on or off: final params, step results."""
+def _clean_run(refs: References, audit: bool) -> tuple[np.ndarray, list]:
+    """Fault-free run with the audit on or off: final params, step results."""
 
     def run() -> tuple[np.ndarray, list]:
-        with sdc_trainer(sdc_check=sdc_check) as trainer:
+        buckets = _N_BUCKETS if audit else None
+        with sdc_trainer(sdc_buckets=buckets) as trainer:
             results = [trainer.step() for _ in range(_N_STEPS)]
             return trainer.params(), results
 
-    return refs.get(("clean", sdc_check), run)
+    return refs.get(("clean", audit), run)
 
 
 def run_sdc_point(
@@ -110,7 +110,7 @@ def run_sdc_point(
     plan = FaultPlan([
         sdc_flip(point.rank, point.iteration, bucket=point.bucket)
     ])
-    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_buckets=_N_BUCKETS)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         injected = [e for e in trainer.fault_log if e.kind == "sdc"]
@@ -173,7 +173,7 @@ def _clean_path_violations(refs: References) -> list[str]:
     """Fault-free runs with detection on vs off: params and simulated
     time must both be bit-identical (zero-sim-event bookkeeping)."""
     (params_off, off), (params_on, on) = (
-        _clean_run(refs, check) for check in (False, True)
+        _clean_run(refs, audit) for audit in (False, True)
     )
     if np.array_equal(params_off, params_on) and (
         [r.sim_time for r in off] == [r.sim_time for r in on]

@@ -30,10 +30,11 @@ Two memory modes:
 
 * ``memory="data"`` — everything lives in the single ``"data"`` buffer:
   compute steps are timing-only (no memory writes), so the schedule binds
-  to the trainer's gradient :class:`~repro.mpi.datatypes.ArrayBuffer`
-  list unchanged and the numerics are bit-identical to running the plain
-  allreduce.  Used by :func:`repro.train.overlap.simulate_bucketed_overlap`
-  and ``DistributedSGDTrainer(step_dag=True)``.
+  to per-rank gradient buffers unchanged.  The sums are *not* in general
+  bit-identical to the plain allreduce's: bucketing re-chunks the
+  collective, and with three or more ranks a re-chunked element can be
+  summed in a different order (with two, ``a + b == b + a`` hides it).
+  Used by :func:`repro.train.overlap.simulate_bucketed_overlap`.
 * ``memory="staged"`` — three buffers ``local``/``grad``/``update``: the
   backward copies ``local`` into ``grad``, the allreduce runs over
   ``grad`` and the optimizer writes ``update``.  Data flow is real, so
@@ -67,8 +68,16 @@ __all__ = ["compile_bucketed_step", "compile_model_step"]
 _DEFAULT_SEGMENT_DIVISOR = 16
 
 
-def _default_segment_bytes(bucket_bytes: int) -> int:
-    return max(64 * 1024, bucket_bytes // _DEFAULT_SEGMENT_DIVISOR)
+def _segment_rule(
+    segment_bytes: Callable[[int], int] | int | None,
+) -> Callable[[int], int]:
+    """Pipeline segment size per payload: an int, a callable of the
+    payload's byte size, or ``None`` for ``max(64 KiB, bytes/16)``."""
+    if segment_bytes is None:
+        return lambda nbytes: max(64 * 1024, nbytes // _DEFAULT_SEGMENT_DIVISOR)
+    if callable(segment_bytes):
+        return segment_bytes
+    return lambda _nbytes: segment_bytes
 
 
 def _splice_step(step, base, extra_deps, bucket, lo, comm_buf):
@@ -165,13 +174,7 @@ def compile_bucketed_step(
     bwd_src = "local" if staged else None
     optim_dst = "update" if staged else None
 
-    def seg_for(nbytes: int) -> int:
-        if segment_bytes is None:
-            return _default_segment_bytes(nbytes)
-        if callable(segment_bytes):
-            return segment_bytes(nbytes)
-        return segment_bytes
-
+    seg_for = _segment_rule(segment_bytes)
     buckets = chunk_ranges(count, n_buckets)
     steps: list = []
 

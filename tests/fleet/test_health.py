@@ -19,6 +19,8 @@ from repro.fleet import (
     SharedCluster,
 )
 from repro.train.faults import DrainPolicy, NodeHealthSignal
+from repro.train.injection import FaultPlan, sdc_flip
+from repro.train.tiny import build_tiny_trainer
 
 TIGHT = dict(n_racks=2, nodes_per_rack=2, slots_per_node=1)
 
@@ -221,7 +223,7 @@ def test_single_flip_is_detected_quarantined_and_repaired_bit_exact():
     lands bit-exact on a fault-free run replaying the same shrink."""
     spec = JobSpec(
         name="sick", n_learners=3, n_steps=6, seed=700,
-        sdc_check=True, sdc_buckets=2, sdc_faults=((1, 1, 0),),
+        sdc_buckets=2, sdc_faults=((1, 1, 0),),
     )
     report, scheduler = run_fleet([spec])
     job = scheduler.jobs["sick"]
@@ -244,6 +246,26 @@ def test_single_flip_is_detected_quarantined_and_repaired_bit_exact():
     np.testing.assert_array_equal(job.final_params, ref.final_params)
 
 
+def test_sdc_repair_matches_across_trainer_and_fleet():
+    """One audited reduce loop serves both planes: the same flip lands on
+    bit-identical final params through the standalone trainer and
+    through a one-job fleet."""
+    spec = JobSpec(
+        name="sick", n_learners=3, n_steps=6, seed=700,
+        sdc_buckets=2, sdc_faults=((1, 1, 0),),
+    )
+    _report, scheduler = run_fleet([spec])
+    job = scheduler.jobs["sick"]
+    assert job.status == "finished"
+    with build_tiny_trainer(
+        3, 700, reshuffle_on_shrink=False, sdc_buckets=2,
+        fault_plan=FaultPlan([sdc_flip(1, 1, bucket=0)]),
+    ) as trainer:
+        results = [trainer.step() for _ in range(spec.n_steps)]
+        assert results[1].quarantined == (1,)
+        np.testing.assert_array_equal(trainer.params(), job.final_params)
+
+
 def test_jobspec_rejects_bad_sdc_configs():
     ok = dict(name="j", n_learners=2, n_steps=4)
     with pytest.raises(ValueError, match="sdc_buckets"):
@@ -251,8 +273,8 @@ def test_jobspec_rejects_bad_sdc_configs():
     with pytest.raises(ValueError, match="poison training"):
         JobSpec(**ok, sdc_faults=((1, 0, 0),))
     with pytest.raises(ValueError, match="outside"):
-        JobSpec(**ok, sdc_check=True, sdc_faults=((9, 0, 0),))
+        JobSpec(**ok, sdc_buckets=2, sdc_faults=((9, 0, 0),))
     with pytest.raises(ValueError, match="slot"):
-        JobSpec(**ok, sdc_check=True, sdc_faults=((1, -1, 0),))
+        JobSpec(**ok, sdc_buckets=2, sdc_faults=((1, -1, 0),))
     with pytest.raises(ValueError, match="bucket"):
-        JobSpec(**ok, sdc_check=True, sdc_buckets=2, sdc_faults=((1, 0, 5),))
+        JobSpec(**ok, sdc_buckets=2, sdc_faults=((1, 0, 5),))

@@ -345,6 +345,43 @@ def test_restore_overrides_operational_knobs(tmp_path):
     np.testing.assert_array_equal(resumed.params(), trainer.params())
 
 
+def test_checkpoint_keeps_recovery_policy_and_topology(tmp_path):
+    """lr_rescale, reshuffle_on_shrink and topology travel with the
+    checkpoint: the restored trainer times its steps on the same fabric
+    and shrinks exactly like the original."""
+    policy = dict(lr_rescale="none", reshuffle_on_shrink=False, topology="ring")
+    trainer = make_trainer(n=3, **policy)
+    trainer.step()
+    path = tmp_path / "policy.ckpt"
+    trainer.save_checkpoint(path)
+    resumed = DistributedSGDTrainer.from_checkpoint(path, net_factory)
+    for key, value in policy.items():
+        assert getattr(resumed, key) == value
+    assert resumed.step().sim_time == trainer.step().sim_time
+    for t in (trainer, resumed):
+        t.absorb_failure(0)
+    assert resumed.schedule == trainer.schedule
+    assert content_multiset(resumed) == content_multiset(trainer)
+    trainer.step()
+    resumed.step()
+    np.testing.assert_array_equal(trainer.params(), resumed.params())
+
+
+def test_checkpoint_without_policy_fields_restores_defaults():
+    """Checkpoints pickled before the policy fields existed still load,
+    with the trainer's defaults."""
+    import pickle
+
+    ckpt = make_trainer(n=2).checkpoint()
+    for key in ("lr_rescale", "reshuffle_on_shrink", "topology"):
+        del ckpt.__dict__[key]
+    old = pickle.loads(pickle.dumps(ckpt))
+    resumed = old.restore(DistributedSGDTrainer, net_factory)
+    assert (resumed.lr_rescale, resumed.reshuffle_on_shrink, resumed.topology) == (
+        "linear", True, "star"
+    )
+
+
 def test_checkpoint_bit_flip_raises_corrupt(tmp_path):
     from repro.train.checkpoint import CheckpointCorrupt
 

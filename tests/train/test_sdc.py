@@ -8,7 +8,6 @@ import pytest
 
 from repro.train import (
     FAULT_KINDS,
-    DistributedSGDTrainer,
     FaultPlan,
     FaultSpec,
     corrupt_messages,
@@ -22,7 +21,13 @@ from repro.train.sdc import (
     SDCVerdict,
     flip_bit,
 )
-from repro.train.sdc_chaos import _N_STEPS, _scripted_reference, sdc_trainer
+from repro.train.sdc_chaos import (
+    _N_BUCKETS,
+    _N_LEARNERS,
+    _N_STEPS,
+    _scripted_reference,
+    sdc_trainer,
+)
 from repro.utils.digest import (
     array_fingerprint,
     crc_of_bytes,
@@ -245,7 +250,7 @@ def test_sdc_spec_validation():
 
 def test_trainer_detects_attributes_and_quarantines():
     plan = FaultPlan([sdc_flip(1, 1, bucket=0)])
-    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_buckets=_N_BUCKETS)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         injected = [e for e in trainer.fault_log if e.kind == "sdc"]
@@ -261,7 +266,7 @@ def test_trainer_detects_attributes_and_quarantines():
 
 def test_quarantine_rerun_is_bit_exact_vs_scripted_shrink():
     plan = FaultPlan([sdc_flip(1, 1, bucket=0)])
-    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_buckets=_N_BUCKETS)
     with trainer:
         for _ in range(_N_STEPS):
             trainer.step()
@@ -271,30 +276,15 @@ def test_quarantine_rerun_is_bit_exact_vs_scripted_shrink():
 
 def test_clean_run_equivalence_with_detection_on():
     """Fingerprinting is pure bookkeeping: params AND simulated time are
-    bit-identical with sdc_check on and off, plain and step-DAG modes."""
-    for mode in (dict(), dict(step_dag=True)):
-        outcomes = []
-        for check in (False, True):
-            trainer = sdc_trainer(sdc_check=check, **mode)
-            with trainer:
-                results = [trainer.step() for _ in range(_N_STEPS)]
-                outcomes.append(
-                    (trainer.params(), [r.sim_time for r in results])
-                )
-        np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
-        assert outcomes[0][1] == outcomes[1][1], f"sim times diverge {mode}"
-
-
-def test_step_dag_mode_detects_and_quarantines_too():
-    plan = FaultPlan([sdc_flip(2, 1, bucket=1)])
-    trainer = sdc_trainer(fault_plan=plan, sdc_check=True, step_dag=True)
-    with trainer:
-        results = [trainer.step() for _ in range(_N_STEPS)]
-        assert results[1].quarantined == (2,)
-        assert trainer.n_learners == 2
-        trainer.check_synchronized()
-        ref = _scripted_reference(2, 1, step_dag=True)
-        np.testing.assert_array_equal(trainer.params(), ref)
+    bit-identical with the SDC audit on and off."""
+    outcomes = []
+    for buckets in (None, _N_BUCKETS):
+        trainer = sdc_trainer(sdc_buckets=buckets)
+        with trainer:
+            results = [trainer.step() for _ in range(_N_STEPS)]
+            outcomes.append((trainer.params(), [r.sim_time for r in results]))
+    np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
+    assert outcomes[0][1] == outcomes[1][1], "sim times diverge"
 
 
 def test_inflight_corruption_retries_unattributed(monkeypatch):
@@ -318,7 +308,7 @@ def test_inflight_corruption_retries_unattributed(monkeypatch):
 
     monkeypatch.setattr(_ArmedFaults, "corrupt_payload", strong_corrupt)
     plan = FaultPlan([corrupt_messages(1, count=1)])
-    trainer = sdc_trainer(fault_plan=plan, sdc_check=True)
+    trainer = sdc_trainer(fault_plan=plan, sdc_buckets=_N_BUCKETS)
     with trainer:
         results = [trainer.step() for _ in range(_N_STEPS)]
         detected = [e for e in trainer.fault_log if e.kind == "sdc-detect"]
@@ -335,43 +325,20 @@ def test_inflight_corruption_retries_unattributed(monkeypatch):
 
 def test_sdc_check_rejects_exact_reducer():
     with pytest.raises(ValueError, match="simulated allreduce"):
-        sdc_trainer(sdc_check=True, reducer="exact")
+        sdc_trainer(sdc_buckets=_N_BUCKETS, reducer="exact")
+    with pytest.raises(ValueError, match="sdc_buckets must be >= 1"):
+        sdc_trainer(sdc_buckets=0)
 
 
 def test_compute_plane_plan_requires_sdc_check():
-    with pytest.raises(ValueError, match="sdc_check is off"):
+    with pytest.raises(ValueError, match="SDC audit is off"):
         sdc_trainer(fault_plan=FaultPlan([sdc_flip(1, 1)]))
 
 
 def test_crash_plan_does_not_require_sdc_check():
     trainer = sdc_trainer(fault_plan=FaultPlan([crash(1, 1)]))
     with trainer:
-        assert trainer.sdc_check is False
-
-
-def test_audit_time_requires_step_dag():
-    with pytest.raises(ValueError, match="step_dag"):
-        sdc_trainer(sdc_check=True, sdc_audit_time=1e-3)
-    with pytest.raises(ValueError, match="sdc_tolerance"):
-        sdc_trainer(sdc_check=True, sdc_tolerance=0.0)
-
-
-def test_audit_time_is_an_explicit_priced_knob():
-    """Detection cost enters simulated time only via sdc_audit_time."""
-    times = {}
-    for audit_time in (0.0, 1e-3):
-        trainer = sdc_trainer(
-            sdc_check=True, step_dag=True, sdc_audit_time=audit_time
-        )
-        with trainer:
-            times[audit_time] = sum(
-                trainer.step().sim_time for _ in range(2)
-            )
-    free = sdc_trainer(step_dag=True)
-    with free:
-        baseline = sum(free.step().sim_time for _ in range(2))
-    assert times[0.0] == baseline  # zero-cost default
-    assert times[1e-3] > baseline  # priced audit shows up in sim time
+        assert trainer.sdc_buckets is None
 
 
 # -- the step DAG's audit steps -----------------------------------------------
@@ -392,6 +359,30 @@ def test_audited_step_dag_passes_semantic_verification():
     assert len(audits) == 2 * 4  # one per bucket per rank
     report = verify_schedule(sched, train_step_contract(4, count))
     assert report.ok, report.format()
+
+
+def _audited_step_time(**step_kwargs) -> float:
+    """Simulated seconds of one step DAG at the SDC sweep's geometry."""
+    from repro.mpi.datatypes import SizeBuffer
+    from repro.mpi.runner import build_world
+    from repro.mpi.schedule import ScheduleExecutor
+    from repro.train.stepdag import compile_bucketed_step
+
+    with sdc_trainer() as trainer:
+        count = trainer.n_params
+    sched = compile_bucketed_step(
+        _N_LEARNERS, count, 8, n_buckets=_N_BUCKETS, **step_kwargs
+    )
+    _engine, _world, comm = build_world(_N_LEARNERS)
+    bufs = [SizeBuffer(count, 8) for _ in range(_N_LEARNERS)]
+    return ScheduleExecutor(comm, sched, bufs).run()
+
+
+def test_audit_time_is_an_explicit_priced_knob():
+    """Detection cost enters simulated time only via ``audit_time``."""
+    baseline = _audited_step_time()
+    assert _audited_step_time(audit=True) == baseline  # zero-cost default
+    assert _audited_step_time(audit=True, audit_time=1e-3) > baseline
 
 
 def test_audit_rejects_negative_time():

@@ -1,31 +1,26 @@
 """The unified training-step DAG: one Schedule for compute + comm.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 * the compiled step proves clean under every verify pass (the semantic
   pass certifying each bucket's gradient is reduced before its optimizer
   reads it) and its critical-path lower bound never exceeds its own
   simulated elapsed time;
 * the unified DAG reproduces the retired bucket-release driver's overlap
-  estimate within 1% — including the fp16 x bucketing x multicolor
-  composition the whatif benchmarks expose;
-* ``DistributedSGDTrainer(step_dag=True)`` stays bit-identical to the
-  plain guarded-allreduce path (compute steps in data mode are
-  timing-only).
+  estimate (``tests/train/overlap_reference.py``) within 1% — including
+  the fp16 x bucketing x multicolor composition the whatif benchmarks
+  expose.
 """
 
-import numpy as np
 import pytest
 
 from repro.mpi.datatypes import SizeBuffer
 from repro.mpi.runner import build_world
 from repro.mpi.schedule import ComputeStep, OptimStep, ScheduleExecutor
 from repro.mpi.verify import analyze_bounds, train_step_contract, verify_schedule
-from repro.train.overlap import (
-    _legacy_simulate_bucketed_overlap,
-    simulate_bucketed_overlap,
-)
+from repro.train.overlap import simulate_bucketed_overlap
 from repro.train.stepdag import compile_bucketed_step, compile_model_step
+from tests.train.overlap_reference import legacy_simulate_bucketed_overlap
 
 COUNT = 1003
 
@@ -190,7 +185,7 @@ def test_unified_dag_matches_legacy_driver(algorithm, n_buckets):
     unified = simulate_bucketed_overlap(
         algorithm=algorithm, n_buckets=n_buckets, **PARITY_KW
     )
-    legacy = _legacy_simulate_bucketed_overlap(
+    legacy = legacy_simulate_bucketed_overlap(
         algorithm=algorithm, n_buckets=n_buckets, **PARITY_KW
     )
     assert unified.iteration_time == pytest.approx(
@@ -220,7 +215,7 @@ def test_composition_smoke_fp16_overlap_multicolor():
     unified = simulate_bucketed_overlap(
         gradient_bytes=2 * n_params, itemsize=2, **kw
     )
-    legacy = _legacy_simulate_bucketed_overlap(
+    legacy = legacy_simulate_bucketed_overlap(
         gradient_bytes=2 * n_params, itemsize=2, **kw
     )
     assert unified.iteration_time == pytest.approx(
@@ -234,65 +229,3 @@ def test_composition_smoke_fp16_overlap_multicolor():
     assert unified.overlap_gain > 0.0
     assert len(unified.bucket_spans) == 8
     assert all(end >= start for start, end in unified.bucket_spans)
-
-
-# -- the trainer knob ---------------------------------------------------------
-
-def _net_factory(rng):
-    from repro.models.nn import Dense, Flatten, Network, ReLU
-
-    return Network([Flatten(), Dense(16, 8, rng), ReLU(), Dense(8, 3, rng)])
-
-
-def _make_stores(n_learners, seed):
-    from repro.data import DIMDStore
-    from repro.data.codec import encode_image
-
-    rng = np.random.default_rng(seed)
-    stores = []
-    for learner in range(n_learners):
-        labels = rng.integers(0, 3, size=12)
-        records = []
-        for lab in labels:
-            img = rng.integers(0, 60, size=(1, 4, 4), dtype=np.uint8)
-            img[0, int(lab) % 4, :] = 255
-            records.append(encode_image(img))
-        stores.append(DIMDStore(records, labels, learner=learner))
-    return stores
-
-
-def test_trainer_step_dag_is_bit_identical():
-    from repro.train import DistributedSGDTrainer, WarmupStepSchedule
-
-    net_factory, make_stores = _net_factory, _make_stores
-    schedule = WarmupStepSchedule(
-        batch_per_gpu=1, n_workers=1, base_lr=0.05, reference_batch=1,
-        warmup_epochs=0.0,
-    )
-
-    def run(**kw):
-        with DistributedSGDTrainer(
-            net_factory, make_stores(2, seed=7), gpus_per_node=2,
-            batch_per_gpu=4, schedule=schedule, momentum=0.9,
-            weight_decay=1e-3, reducer="multicolor", seed=7, **kw,
-        ) as trainer:
-            for _ in range(3):
-                trainer.step()
-            trainer.check_synchronized()
-            return trainer.params()
-
-    plain = run()
-    unified = run(
-        step_dag=True, step_fwd_time=1e-3, step_bwd_time=2e-3, step_buckets=4
-    )
-    assert np.array_equal(plain, unified)
-
-
-def test_trainer_step_dag_rejects_exact_reducer():
-    from repro.train import DistributedSGDTrainer
-
-    with pytest.raises(ValueError, match="step_dag"):
-        DistributedSGDTrainer(
-            _net_factory, _make_stores(1, seed=0),
-            reducer="exact", step_dag=True,
-        )
