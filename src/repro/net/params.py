@@ -9,6 +9,7 @@ custom Infiniband-verbs implementation from plain MPI messaging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.utils.units import Gbps
@@ -24,10 +25,10 @@ class LinkParams:
     latency: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError(f"latency must be finite and >= 0, got {self.latency}")
 
     def serialization_time(self, nbytes: float) -> float:
         """Time to push ``nbytes`` through this link, excluding latency."""
@@ -69,8 +70,8 @@ class NetworkParams:
             raise ValueError("software_overhead must be >= 0")
         if self.switch_latency < 0:
             raise ValueError("switch_latency must be >= 0")
-        if self.per_flow_cap <= 0:
-            raise ValueError("per_flow_cap must be positive")
+        if not self.per_flow_cap > 0:
+            raise ValueError(f"per_flow_cap must be positive, got {self.per_flow_cap}")
 
 
 def _ib_params(adapters: int, *, software_overhead: float) -> NetworkParams:

@@ -1,5 +1,7 @@
 """Unit tests for the max-min fair flow fabric."""
 
+import math
+
 import pytest
 
 from repro.net import Fabric, LinkParams, NetworkParams, fat_tree, star
@@ -189,3 +191,51 @@ def test_many_concurrent_flows_complete():
     ]
     eng.run(eng.all_of(evs))
     assert fab.stats.transfers_completed == len(evs)
+
+
+@pytest.mark.parametrize("nbytes", [math.nan, math.inf])
+def test_non_finite_bytes_rejected(nbytes):
+    _eng, fab = make_fabric()
+    with pytest.raises(ValueError):
+        fab.transfer(0, 1, nbytes)
+    assert fab.stats.transfers_started == 0
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_non_finite_scale_factor_rejected(factor):
+    _eng, fab = make_fabric()
+    with pytest.raises(ValueError):
+        fab.scale_links([0], factor)
+    with pytest.raises(ValueError):
+        fab.scale_host_links(0, factor)
+    assert fab.link_bandwidth(0) == 100.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"loopback_bandwidth": math.inf},
+        {"loopback_bandwidth": math.nan},
+        {"per_flow_cap": math.nan},
+        {"software_overhead": math.nan},
+    ],
+)
+def test_non_finite_fabric_parameters_rejected(kwargs):
+    with pytest.raises(ValueError):
+        make_fabric(**kwargs)
+
+
+def test_infinite_per_flow_cap_is_the_default_and_legal():
+    eng, fab = make_fabric(per_flow_cap=math.inf)
+    ev = fab.transfer(0, 1, 200.0)
+    eng.run(ev)
+    assert eng.now == pytest.approx(2.0)
+
+
+def test_degrade_and_restore_recovers_nominal_bandwidth_exactly():
+    _eng, fab = make_fabric()
+    fab.scale_links([0, 1], 0.3)
+    assert fab.link_bandwidth(0) == 100.0 * 0.3
+    fab.scale_links([0], 1.0)
+    assert fab.link_bandwidth(0) == 100.0
+    assert fab.link_bandwidth(1) == 100.0 * 0.3

@@ -1,5 +1,7 @@
 """Unit tests for topologies and routing."""
 
+import math
+
 import pytest
 
 from repro.net import LinkParams, NetworkParams, fat_tree, full_mesh, ring, star
@@ -16,6 +18,18 @@ def test_link_params_validation():
         LinkParams(bandwidth=0.0, latency=0.0)
     with pytest.raises(ValueError):
         LinkParams(bandwidth=1.0, latency=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LinkParams(bandwidth=bad, latency=0.0)
+        with pytest.raises(ValueError):
+            LinkParams(bandwidth=1.0, latency=bad)
+
+
+def test_network_params_reject_nan_per_flow_cap():
+    link = LinkParams(bandwidth=1.0, latency=0.0)
+    with pytest.raises(ValueError):
+        NetworkParams(host_link=link, fabric_link=link, per_flow_cap=math.nan)
+    assert NetworkParams(host_link=link, fabric_link=link).per_flow_cap == math.inf
 
 
 def test_serialization_time():
