@@ -14,9 +14,11 @@ Flows that share no link, directly or through other flows, do not affect
 each other's max-min rates.  The fabric therefore keeps per-link flow lists
 up to date and re-solves only the flows coupled to a link that changed (a
 flow arrived, a flow left, or the link was rescaled); every other flow
-keeps the rate a full solve would give it again.  The component-local solve
-replays the full solve's floating-point operations in the same order, so
-the rates are bit-identical to re-solving everything (DESIGN.md, repro.net).
+keeps the rate a full solve would give it again.  That fluid state and the
+solve live in a small compiled kernel (``_maxmin.c``, built on first use),
+which replays the full solve's floating-point operations in the same order,
+so the rates are bit-identical to re-solving everything in pure Python
+(DESIGN.md, repro.net).
 
 The fabric is driven by the discrete-event :class:`~repro.sim.Engine`: flow
 completions are events, and rate changes reschedule the next completion.
@@ -24,22 +26,29 @@ completions are events, and rate changes reschedule the next completion.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import operator
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import attrgetter
 
+from repro.net import _maxmin
 from repro.net.topology import Topology
 from repro.sim.engine import Engine, Event
 
 __all__ = ["Fabric", "Flow", "FabricStats"]
 
-_BYTES_EPS = 1e-6  # flows with fewer remaining bytes are considered done
+_BYTES_EPS = 1e-6  # flows with fewer bytes are done (BYTES_EPS in _maxmin.c)
 
 
 @dataclass(eq=False, slots=True)
 class Flow:
-    """One in-flight transfer.  Flows compare by identity."""
+    """One in-flight transfer.  Flows compare by identity.
+
+    The kernel owns an active flow's ``rate`` and ``remaining`` bytes;
+    :attr:`Fabric.active_flows` copies them into the flows it returns.
+    """
 
     fid: int
     src: int
@@ -49,12 +58,6 @@ class Flow:
     remaining: float
     event: Event
     rate: float = 0.0
-    #: Position in the fabric's activation order (-1 until the flow is on
-    #: the wire); the max-min solve visits coupled flows in this order.
-    activation: int = -1
-
-
-_by_activation = attrgetter("activation")
 
 
 @dataclass
@@ -68,8 +71,8 @@ class FabricStats:
 
 
 class Fabric:
-    """Simulates concurrent transfers over a :class:`Topology`, whose links
-    must not change once the fabric is built."""
+    """Simulates concurrent transfers over a :class:`Topology`; only the
+    links it has when the fabric is built carry flows."""
 
     def __init__(
         self,
@@ -109,31 +112,39 @@ class Fabric:
         self.loopback_bandwidth = loopback_bandwidth
         self.per_flow_cap = per_flow_cap
         self.stats = FabricStats()
-        self._active: dict[int, Flow] = {}
         self._next_fid = 0
-        self._activations = 0
-        self._last_update = 0.0
         self._timer: Event | None = None
         self._realloc_pending = False
         # Effective capacities: nominal times any live scale_links factor.
         self._bandwidth = [link.params.bandwidth for link in topology.links]
-        # Active flows on each link, in activation order.
-        self._link_flows: list[list[Flow]] = [[] for _ in topology.links]
-        # Links whose flows or capacity changed since the last solve.
-        self._dirty_links: set[int] = set()
-        # Solver work lists, indexed by link and reused across solves (list
-        # indexing is measurably cheaper than per-solve dicts): residual
-        # capacity, unfixed-flow count, and position in the current solve's
-        # share list (-1 outside a solve).
-        n_links = len(topology.links)
-        self._residual = [0.0] * n_links
-        self._count = [0] * n_links
-        self._slot = [-1] * n_links
+        n_links = len(self._bandwidth)
+        # The kernel's fluid state, freed with the fabric; active flows by
+        # kernel slot; kernel ids of the paths seen so far.
+        self._lib = lib = _maxmin.load()
+        state = lib.mm_new(n_links, (ctypes.c_double * n_links)(*self._bandwidth), per_flow_cap)
+        if not state:
+            raise MemoryError("cannot allocate the fabric's max-min state")
+        self._state = ctypes.c_void_p(state)
+        self._finalizer = weakref.finalize(self, lib.mm_free, self._state)
+        self._flows: dict[int, Flow] = {}
+        self._path_ids: dict[tuple[int, ...], int] = {}
 
     # -- public API --------------------------------------------------------
     @property
     def active_flows(self) -> tuple[Flow, ...]:
-        return tuple(self._active.values())
+        """The flows on the wire, in activation order, with their current
+        rates and remaining bytes."""
+        lib, state = self._lib, self._state
+        n = lib.mm_n_active(state)
+        slots = (ctypes.c_int * n)()
+        rates, remaining = (ctypes.c_double * n)(), (ctypes.c_double * n)()
+        lib.mm_active(state, slots, rates, remaining)
+        flows = []
+        for slot, rate, left in zip(slots, rates, remaining):
+            flow = self._flows[slot]
+            flow.rate, flow.remaining = rate, left
+            flows.append(flow)
+        return tuple(flows)
 
     def transfer(self, src: int, dst: int, nbytes: float) -> Event:
         """Start moving ``nbytes`` from host ``src`` to host ``dst``.
@@ -143,6 +154,13 @@ class Fabric:
         """
         if not 0 <= nbytes < math.inf:
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
+        if src == dst:
+            self.topology.host(src)  # validates the rank; route() does otherwise
+        else:
+            path = self.topology.route(src, dst)
+            path_id = self._path_ids.get(path)
+            if path_id is None:
+                path_id = self._add_path(path)
         ev = self.engine.event()
         self.stats.transfers_started += 1
         fid = self._next_fid
@@ -152,13 +170,12 @@ class Fabric:
             flow = Flow(fid, src, dst, (), float(nbytes), 0.0, ev)
             self.engine.process(self._delayed_complete(flow, duration))
             return ev
-        path = self.topology.route(src, dst)
         delay = self.software_overhead + self.topology.path_latency(path)
         flow = Flow(fid, src, dst, path, float(nbytes), float(nbytes), ev)
         if nbytes <= _BYTES_EPS:
             self.engine.process(self._delayed_complete(flow, delay))
             return ev
-        self.engine.process(self._delayed_activate(flow, delay))
+        self.engine.process(self._delayed_activate(flow, path_id, delay))
         return ev
 
     def link_bandwidth(self, link_index: int) -> float:
@@ -173,18 +190,23 @@ class Fabric:
         topology, this changes the capacity seen by flows already on the
         wire: progress at the old rates is accounted first, then the max-min
         shares are recomputed.  ``factor == 1.0`` removes the degradation.
+        Nothing changes unless every index is valid.
         """
         if not 0 < factor < math.inf:
             raise ValueError(
                 f"link scale factor must be finite and positive, got {factor}"
             )
+        indices = [operator.index(li) for li in link_indices]
+        n_links = len(self._bandwidth)
+        for li in indices:
+            if not 0 <= li < n_links:
+                raise ValueError(f"link index {li} out of range [0, {n_links})")
         links = self.topology.links
-        for li in link_indices:
-            if not 0 <= li < len(links):
-                raise ValueError(f"link index {li} out of range [0, {len(links)})")
-            self._bandwidth[li] = links[li].params.bandwidth * factor
-            self._dirty_links.add(li)
-        self._update_progress()
+        lib, state = self._lib, self._state
+        for li in indices:
+            bandwidth = self._bandwidth[li] = links[li].params.bandwidth * factor
+            lib.mm_set_bandwidth(state, li, bandwidth)
+        lib.mm_progress(state, self.engine.now)
         self._request_reallocate()
 
     def scale_host_links(self, host_rank: int, factor: float) -> None:
@@ -198,19 +220,31 @@ class Fabric:
         self.scale_links(indices, factor)
 
     # -- internals -----------------------------------------------------------
+    def _add_path(self, path: tuple[int, ...]) -> int:
+        """Hand a new route to the kernel, once its links are checked."""
+        n_links = len(self._bandwidth)
+        if not all(0 <= li < n_links for li in path):
+            raise ValueError(
+                f"route {path} uses a link added after the fabric was built "
+                f"(the fabric simulates links [0, {n_links}))"
+            )
+        links = (ctypes.c_int * len(path))(*path)
+        path_id = self._lib.mm_add_path(self._state, links, len(path))
+        if path_id < 0:
+            raise MemoryError("cannot grow the fabric's max-min state")
+        self._path_ids[path] = path_id
+        return path_id
+
     def _delayed_complete(self, flow: Flow, delay: float):
         yield self.engine.timeout(delay)
         self._finish(flow)
 
-    def _delayed_activate(self, flow: Flow, delay: float):
+    def _delayed_activate(self, flow: Flow, path_id: int, delay: float):
         yield self.engine.timeout(delay)
-        self._update_progress()
-        flow.activation = self._activations
-        self._activations += 1
-        self._active[flow.fid] = flow
-        for li in flow.path:
-            self._link_flows[li].append(flow)
-        self._dirty_links.update(flow.path)
+        slot = self._lib.mm_activate(self._state, self.engine.now, path_id, flow.nbytes)
+        if slot < 0:
+            raise MemoryError("cannot grow the fabric's max-min state")
+        self._flows[slot] = flow
         self._request_reallocate()
 
     def _request_reallocate(self) -> None:
@@ -236,23 +270,13 @@ class Fabric:
             )
         flow.event.succeed(flow)
 
-    def _update_progress(self) -> None:
-        now = self.engine.now
-        dt = now - self._last_update
-        if dt > 0:
-            for flow in self._active.values():
-                flow.remaining -= flow.rate * dt
-        self._last_update = now
-
     def _reallocate(self) -> None:
         """Re-solve the flows coupled to changed links, then reschedule the
         next completion (one timer event; older ones become no-ops)."""
-        if self._dirty_links:
-            self._solve(self._coupled_flows())
+        horizon = self._lib.mm_reallocate(self._state)
         self._timer = None
-        if not self._active:
+        if horizon != horizon:  # NaN: no active flow
             return
-        horizon = min([f.remaining / f.rate for f in self._active.values() if f.rate > 0])
         timer = self._timer = Event(self.engine)
         timer.callbacks.append(self._on_timer)
         timer.succeed(delay=max(horizon, 0.0))
@@ -260,92 +284,9 @@ class Fabric:
     def _on_timer(self, timer: Event) -> None:
         if timer is not self._timer:
             return  # superseded by a later reallocation
-        self._update_progress()
-        finished = [
-            f for f in self._active.values() if f.remaining <= _BYTES_EPS * f.nbytes
-        ]
-        if not finished:
-            # Numerical guard: force the closest flow to completion.
-            finished = [min(self._active.values(), key=lambda f: f.remaining)]
-        link_flows = self._link_flows
-        for flow in finished:
-            del self._active[flow.fid]
-            for li in flow.path:
-                link_flows[li].remove(flow)
-            self._dirty_links.update(flow.path)
-            self._finish(flow)
+        lib, state = self._lib, self._state
+        n = lib.mm_finish(state, self.engine.now)
+        flows = self._flows
+        for slot in lib.mm_finished(state)[:n]:
+            self._finish(flows.pop(slot))
         self._request_reallocate()
-
-    def _coupled_flows(self) -> list[Flow]:
-        """Active flows reachable from the dirty links through shared links,
-        in activation order; clears the dirty set."""
-        link_flows = self._link_flows
-        seen = self._dirty_links
-        self._dirty_links = set()
-        stack = list(seen)
-        flows: set[Flow] = set()
-        while stack:
-            for flow in link_flows[stack.pop()]:
-                if flow not in flows:
-                    flows.add(flow)
-                    for li in flow.path:
-                        if li not in seen:
-                            seen.add(li)
-                            stack.append(li)
-        if len(flows) == len(self._active):
-            return list(self._active.values())
-        return sorted(flows, key=_by_activation)
-
-    def _solve(self, flows: list[Flow]) -> None:
-        """Progressive-filling max-min rates for ``flows``, a union of whole
-        coupled components listed in activation order.
-
-        ``shares[i]`` is the fair share of link ``links[i]`` among its unfixed
-        flows (``inf`` once all are fixed), with links in first-appearance
-        order along ``flows``' paths.  ``min`` plus ``index`` find the first
-        smallest share, as a strict ``<`` scan in that order would, and each
-        fixed flow's rate is subtracted from its links one at a time, so the
-        rates are exactly those of a progressive filling over all active
-        flows.  Each round costs two C-level list scans plus the paths of
-        the flows it fixes.
-        """
-        bandwidth = self._bandwidth
-        link_flows = self._link_flows
-        residual = self._residual
-        count = self._count
-        slot = self._slot
-        links: list[int] = []
-        shares: list[float] = []
-        for flow in flows:
-            for li in flow.path:
-                if slot[li] < 0:
-                    slot[li] = len(shares)
-                    links.append(li)
-                    r = residual[li] = bandwidth[li]
-                    n = count[li] = len(link_flows[li])
-                    shares.append(r / n)
-        unfixed = set(flows)
-        cap = self.per_flow_cap
-        inf = math.inf
-        while unfixed:
-            rate = min(shares)
-            if rate >= cap:
-                # Every remaining flow is rail-limited, not link-limited.
-                for flow in unfixed:
-                    flow.rate = cap
-                break
-            for flow in link_flows[links[shares.index(rate)]]:
-                if flow not in unfixed:
-                    continue
-                unfixed.remove(flow)
-                flow.rate = rate
-                for li in flow.path:
-                    r = residual[li] - rate
-                    if not r > 0.0:  # max(0.0, r)
-                        r = 0.0
-                    residual[li] = r
-                    n = count[li] - 1
-                    count[li] = n
-                    shares[slot[li]] = r / n if n else inf
-        for li in links:
-            slot[li] = -1

@@ -239,3 +239,21 @@ def test_degrade_and_restore_recovers_nominal_bandwidth_exactly():
     fab.scale_links([0], 1.0)
     assert fab.link_bandwidth(0) == 100.0
     assert fab.link_bandwidth(1) == 100.0 * 0.3
+
+
+def test_scale_links_rejects_before_changing_anything():
+    _eng, fab = make_fabric()
+    with pytest.raises(ValueError, match="out of range"):
+        fab.scale_links([0, 999], 0.5)
+    assert fab.link_bandwidth(0) == 100.0
+    with pytest.raises(ValueError, match="out of range"):
+        fab.scale_links(iter([1, -1]), 0.5)
+    assert fab.link_bandwidth(1) == 100.0
+
+
+@pytest.mark.parametrize("src, dst", [(77, 77), (-1, -1), (0, 77), (77, 0)])
+def test_transfer_rejects_unknown_hosts_even_as_loopback(src, dst):
+    _eng, fab = make_fabric(4)
+    with pytest.raises(ValueError, match="out of range"):
+        fab.transfer(src, dst, 10.0)
+    assert fab.stats.transfers_started == 0
