@@ -232,7 +232,16 @@ class Schedule:
         return len(self.steps)
 
     def rank_steps(self, rank: int) -> list[Step]:
-        return [s for s in self.steps if s.rank == rank]
+        """``rank``'s steps in sid order."""
+        return list(self._by_rank.get(rank, ()))
+
+    @functools.cached_property
+    def _by_rank(self) -> dict[int, list[Step]]:
+        """Every rank's steps, indexed once per (immutable) schedule."""
+        by_rank: dict[int, list[Step]] = {}
+        for s in self.steps:
+            by_rank.setdefault(s.rank, []).append(s)
+        return by_rank
 
     def step_counts(self) -> dict[str, int]:
         """Number of steps per step-type name (for profiles and displays)."""

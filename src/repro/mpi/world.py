@@ -119,29 +119,44 @@ class MPIWorld:
         nbytes = buf.nbytes
         for observer in self.send_observers:
             observer(src, dst, tag, nbytes)
-        done = self.engine.event()
+        engine = self.engine
+        done = engine.event()
         prev_tail = self._channel_tail.get((src, dst))
         self._channel_tail[(src, dst)] = done
 
-        def channel_program():
-            if prev_tail is not None:
-                yield prev_tail
-            action = "deliver"
-            data = payload
-            if self.fault_controller is not None:
-                action, seconds = self.fault_controller.on_send(
-                    src, dst, tag, nbytes
-                )
-                if action == "delay" and seconds > 0:
-                    yield self.engine.timeout(seconds)
-                elif action == "corrupt":
-                    data = self.fault_controller.corrupt_payload(data)
-            yield self.fabric.transfer(src, dst, nbytes)
-            if action != "drop":
-                self._deposit(dst, Message(src, tag, data, nbytes))
-            done.succeed()
+        # The send is a chain of engine calls: start (one zero-delay hop)
+        # -> post, once the pair's previous message is delivered -> the
+        # fault verdict, maybe a delay -> transmit -> deliver.
+        def start(_arg: None) -> None:
+            if prev_tail is None:
+                post(None)
+            elif prev_tail.callbacks is None:
+                engine.call(post)  # delivered already: resume one hop later
+            else:
+                prev_tail.callbacks.append(post)
 
-        self.engine.process(channel_program(), name=f"send{src}->{dst}")
+        def post(_arg: object) -> None:
+            action, seconds, data = "deliver", 0.0, payload
+            controller = self.fault_controller
+            if controller is not None:
+                action, seconds = controller.on_send(src, dst, tag, nbytes)
+                if action == "corrupt":
+                    data = controller.corrupt_payload(data)
+
+            def transmit(_arg: None) -> None:
+                self.fabric.transfer(src, dst, nbytes).callbacks.append(deliver)
+
+            def deliver(_flow: Event) -> None:
+                if action != "drop":
+                    self._deposit(dst, Message(src, tag, data, nbytes))
+                done.succeed()
+
+            if action == "delay" and seconds > 0:
+                engine.call(transmit, None, seconds)
+            else:
+                transmit(None)
+
+        engine.call(start)
         return done
 
     def recv(self, rank: int, src: int, tag: object) -> Event:

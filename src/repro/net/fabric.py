@@ -21,7 +21,9 @@ so the rates are bit-identical to re-solving everything in pure Python
 (DESIGN.md, repro.net).
 
 The fabric is driven by the discrete-event :class:`~repro.sim.Engine`: flow
-completions are events, and rate changes reschedule the next completion.
+starts, reallocations and the next completion are engine calls
+(:meth:`~repro.sim.Engine.call`), rate changes reschedule the next
+completion, and each transfer's event fires when its last byte arrives.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import ctypes
 import math
 import operator
 import weakref
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.net import _maxmin
 from repro.net.topology import Topology
@@ -113,7 +116,9 @@ class Fabric:
         self.per_flow_cap = per_flow_cap
         self.stats = FabricStats()
         self._next_fid = 0
-        self._timer: Event | None = None
+        # Bumped by every reallocation; a completion timer with an older
+        # generation was superseded and does nothing.
+        self._timer = 0
         self._realloc_pending = False
         # Effective capacities: nominal times any live scale_links factor.
         self._bandwidth = [link.params.bandwidth for link in topology.links]
@@ -168,14 +173,14 @@ class Fabric:
         if src == dst:
             duration = self.software_overhead + nbytes / self.loopback_bandwidth
             flow = Flow(fid, src, dst, (), float(nbytes), 0.0, ev)
-            self.engine.process(self._delayed_complete(flow, duration))
+            self.engine.call(self._hop, (duration, self._finish, flow))
             return ev
         delay = self.software_overhead + self.topology.path_latency(path)
         flow = Flow(fid, src, dst, path, float(nbytes), float(nbytes), ev)
         if nbytes <= _BYTES_EPS:
-            self.engine.process(self._delayed_complete(flow, delay))
+            self.engine.call(self._hop, (delay, self._finish, flow))
             return ev
-        self.engine.process(self._delayed_activate(flow, path_id, delay))
+        self.engine.call(self._hop, (delay, self._activate, (flow, path_id)))
         return ev
 
     def link_bandwidth(self, link_index: int) -> float:
@@ -235,12 +240,18 @@ class Fabric:
         self._path_ids[path] = path_id
         return path_id
 
-    def _delayed_complete(self, flow: Flow, delay: float):
-        yield self.engine.timeout(delay)
-        self._finish(flow)
+    def _hop(self, call: tuple[float, Callable[[Any], None], Any]) -> None:
+        """Schedule ``fn(arg)`` after the transfer's start-up ``delay``.
 
-    def _delayed_activate(self, flow: Flow, path_id: int, delay: float):
-        yield self.engine.timeout(delay)
+        :meth:`transfer` reaches this through one zero-delay engine call,
+        so the delayed call takes its place in the heap one step later,
+        where a transfer's start-up wait has always been scheduled.
+        """
+        delay, fn, arg = call
+        self.engine.call(fn, arg, delay)
+
+    def _activate(self, start: tuple[Flow, int]) -> None:
+        flow, path_id = start
         slot = self._lib.mm_activate(self._state, self.engine.now, path_id, flow.nbytes)
         if slot < 0:
             raise MemoryError("cannot grow the fabric's max-min state")
@@ -253,11 +264,9 @@ class Fabric:
         if self._realloc_pending:
             return
         self._realloc_pending = True
-        ev = Event(self.engine)
-        ev.callbacks.append(self._run_reallocate)
-        ev.succeed()
+        self.engine.call(self._run_reallocate)
 
-    def _run_reallocate(self, _ev: Event) -> None:
+    def _run_reallocate(self, _arg: None) -> None:
         self._realloc_pending = False
         self._reallocate()
 
@@ -272,17 +281,15 @@ class Fabric:
 
     def _reallocate(self) -> None:
         """Re-solve the flows coupled to changed links, then reschedule the
-        next completion (one timer event; older ones become no-ops)."""
+        next completion (one timer call; older ones become no-ops)."""
         horizon = self._lib.mm_reallocate(self._state)
-        self._timer = None
+        self._timer += 1
         if horizon != horizon:  # NaN: no active flow
             return
-        timer = self._timer = Event(self.engine)
-        timer.callbacks.append(self._on_timer)
-        timer.succeed(delay=max(horizon, 0.0))
+        self.engine.call(self._on_timer, self._timer, max(horizon, 0.0))
 
-    def _on_timer(self, timer: Event) -> None:
-        if timer is not self._timer:
+    def _on_timer(self, timer: int) -> None:
+        if timer != self._timer:
             return  # superseded by a later reallocation
         lib, state = self._lib, self._state
         n = lib.mm_finish(state, self.engine.now)

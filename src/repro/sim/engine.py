@@ -4,9 +4,12 @@ Design notes
 ------------
 * Time is a ``float`` in seconds.  The engine never advances past an event
   that has not been scheduled, so causality is enforced structurally.
-* The event heap is keyed by ``(time, priority, sequence)``; the sequence
-  counter makes the engine fully deterministic (FIFO among equal-time,
-  equal-priority events).
+* Every heap entry is a plain call ``(time, priority, sequence, fn, arg)``;
+  the engine pops one and runs ``fn(arg)``.  A triggered :class:`Event` is
+  one kind of call (:meth:`Engine._fire` runs its callbacks); model code
+  that needs no waiter schedules other calls with :meth:`Engine.call`.  The
+  sequence counter makes the engine fully deterministic (FIFO among
+  equal-time, equal-priority entries).
 * A :class:`Process` wraps a generator.  Yielding an :class:`Event` suspends
   the process until the event triggers; the event's value becomes the result
   of the ``yield`` expression.  A process is itself an event that triggers
@@ -32,8 +35,7 @@ __all__ = [
     "Timeout",
 ]
 
-# Scheduling priorities: lower runs first at equal timestamps.
-URGENT = 0
+# Heap entries sort by (time, priority, sequence); every entry has this one.
 NORMAL = 1
 
 
@@ -56,14 +58,13 @@ class Event:
     processed by the engine loop (callbacks run, becomes *processed*).
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_scheduled", "_defused")
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = None
         self._ok: bool | None = None
-        self._scheduled = False
         self._defused = False
 
     # -- state ------------------------------------------------------------
@@ -92,24 +93,26 @@ class Event:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, *, delay: float = 0.0) -> "Event":
         """Trigger successfully, scheduling callbacks after ``delay``."""
-        self._trigger(True, value, delay)
+        if self._ok is not None:
+            raise SimulationError(f"{self!r} has already been triggered")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        self._ok = True
+        self._value = value
+        engine = self.engine
+        engine._seq += 1
+        heapq.heappush(
+            engine._heap, (engine._now + delay, NORMAL, engine._seq, engine._fire, self)
+        )
         return self
 
     def fail(self, exc: BaseException, *, delay: float = 0.0) -> "Event":
         """Trigger as failed; waiting processes receive ``exc``."""
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc, delay)
+        self.succeed(exc, delay=delay)
+        self._ok = False  # nothing runs between the push and this
         return self
-
-    def _trigger(self, ok: bool, value: Any, delay: float) -> None:
-        if self._ok is not None:
-            raise SimulationError(f"{self!r} has already been triggered")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self._ok = ok
-        self._value = value
-        self.engine._schedule(self, delay)
 
     def defuse(self) -> None:
         """Mark a failure as handled so the engine does not crash on it."""
@@ -126,13 +129,13 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(engine)
         self.delay = delay
         self._ok = True
         self._value = value
-        engine._schedule(self, delay)
+        engine.call(engine._fire, self, delay)
 
 
 class Process(Event):
@@ -153,9 +156,7 @@ class Process(Event):
         self._waiting_on: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current simulation time.
-        boot = Event(engine)
-        boot.callbacks.append(self._resume)
-        boot.succeed()
+        engine.call(self._send)
 
     @property
     def is_alive(self) -> bool:
@@ -165,29 +166,37 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
+        self._detach()
+        self.engine.call(self._throw, Interrupt(cause))
+
+    # -- internal ----------------------------------------------------------
+    def _detach(self) -> None:
+        """Stop waiting on the current target; its wakeup is dropped."""
         target = self._waiting_on
         if target is not None and self._resume in (target.callbacks or ()):
             target.callbacks.remove(self._resume)
         self._waiting_on = None
-        poke = Event(self.engine)
-        poke.callbacks.append(
-            lambda _ev: self._step(lambda: self._generator.throw(Interrupt(cause)))
-        )
-        poke.succeed()
 
-    # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        if event is not self._waiting_on:
+            return  # a wakeup an interrupt cancelled while it was queued
         self._waiting_on = None
         if event._ok:
-            self._step(lambda: self._generator.send(event._value))
+            self._step(self._generator.send, event._value)
         else:
             event._defused = True
-            exc = event._value
-            self._step(lambda: self._generator.throw(exc))
+            self._step(self._generator.throw, event._value)
 
-    def _step(self, advance: Callable[[], Event]) -> None:
+    def _send(self, value: Any) -> None:
+        self._step(self._generator.send, value)
+
+    def _throw(self, exc: BaseException) -> None:
+        self._detach()  # a wait begun since interrupt(), e.g. by the boot
+        self._step(self._generator.throw, exc)
+
+    def _step(self, advance: Callable[[Any], Event], arg: Any) -> None:
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             super().succeed(stop.value)
             return
@@ -207,9 +216,7 @@ class Process(Event):
         self._waiting_on = target
         if target.callbacks is None:
             # Already processed: resume immediately (at the current time).
-            poke = Event(self.engine)
-            poke.callbacks.append(lambda _ev: self._resume(target))
-            poke.succeed()
+            self.engine.call(self._resume, target)
         else:
             target.callbacks.append(self._resume)
 
@@ -287,11 +294,11 @@ class AnyOf(_Condition):
 
 
 class Engine:
-    """The event loop: schedules triggered events and runs their callbacks."""
+    """The event loop: a heap of timed calls, run one at a time."""
 
     def __init__(self):
         self._now = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, int, Callable[[Any], Any], Any]] = []
         self._seq = 0
 
     @property
@@ -318,30 +325,37 @@ class Engine:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+    def call(self, fn: Callable[[Any], Any], arg: Any = None, delay: float = 0.0) -> None:
+        """Run ``fn(arg)`` ``delay`` seconds from now, after every entry
+        already scheduled for that time (FIFO at equal times).
 
-    # -- running ----------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._heap:
-            raise SimulationError("cannot step: no scheduled events")
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past (engine bug)")
-        self._now = when
+        An exception raised by ``fn`` propagates out of :meth:`run` as is.
+        """
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        self._seq += 1
+        heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, fn, arg))
+
+    def _fire(self, event: Event) -> None:
+        """Run a triggered event's callbacks; an unhandled failure raises."""
         callbacks = event.callbacks
         event.callbacks = None
         assert callbacks is not None
         for cb in callbacks:
             cb(event)
         if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
+            raise event._value
+
+    # -- running ----------------------------------------------------------
+    def step(self) -> None:
+        """Run the single next heap entry."""
+        if not self._heap:
+            raise SimulationError("cannot step: no scheduled events")
+        when, _prio, _seq, fn, arg = heapq.heappop(self._heap)
+        if when < self._now:
+            raise SimulationError("event scheduled in the past (engine bug)")
+        self._now = when
+        fn(arg)
 
     def run(self, until: Event | float | None = None) -> Any:
         """Run until ``until`` (an event, an absolute time, or exhaustion).
@@ -352,7 +366,7 @@ class Engine:
             stop_event = until
             if stop_event.engine is not self:
                 raise SimulationError("run(until=...) event from another engine")
-            while not stop_event.processed:
+            while stop_event.callbacks is not None:
                 if not self._heap:
                     raise SimulationError(
                         "deadlock: event queue empty but run-until event "
@@ -364,8 +378,8 @@ class Engine:
             return stop_event._value
         if until is not None:
             horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+            if not horizon >= self._now:
+                raise ValueError(f"until={horizon} must be a time >= now={self._now}")
             while self._heap and self._heap[0][0] <= horizon:
                 self.step()
             self._now = horizon

@@ -180,6 +180,18 @@ def test_every_registered_compiler_passes_the_lint():
                 assert report["n_steps"] == sched.n_steps, (name, n_ranks, count)
 
 
+@pytest.mark.parametrize("name", sorted(ALLREDUCE_COMPILERS))
+def test_rank_steps_index_matches_a_full_scan(name):
+    for n_ranks in (4, 16):
+        sched = ALLREDUCE_COMPILERS[name](n_ranks, 1000, 4)
+        for rank in range(n_ranks + 1):  # one rank past the end owns nothing
+            scanned = [s for s in sched.steps if s.rank == rank]
+            assert sched.rank_steps(rank) == scanned, (name, n_ranks, rank)
+            # Callers get their own list; the index is not exposed.
+            sched.rank_steps(rank).clear()
+            assert sched.rank_steps(rank) == scanned
+
+
 # -- execution ----------------------------------------------------------------
 
 

@@ -261,3 +261,186 @@ def test_peek_reports_next_event_time():
     eng.timeout(4.0)
     eng.timeout(2.0)
     assert eng.peek() == pytest.approx(2.0)
+
+
+# -- NaN times are rejected ----------------------------------------------------
+
+NAN = float("nan")
+
+
+def test_nan_timeout_rejected():
+    eng = Engine()
+    with pytest.raises(ValueError):
+        eng.timeout(NAN)
+    assert eng.peek() == float("inf")
+
+
+def test_nan_trigger_delay_rejected_and_event_stays_pending():
+    eng = Engine()
+    ev = eng.event()
+    with pytest.raises(ValueError):
+        ev.succeed(1, delay=NAN)
+    with pytest.raises(ValueError):
+        ev.fail(KeyError("x"), delay=NAN)
+    assert not ev.triggered
+    ev.succeed(2, delay=1.0)
+    assert eng.run(ev) == 2
+
+
+def test_nan_run_until_rejected():
+    eng = Engine()
+    eng.timeout(1.0)
+    with pytest.raises(ValueError):
+        eng.run(until=NAN)
+    assert eng.now == 0.0
+    eng.run(until=2.0)
+    assert eng.now == 2.0
+
+
+def test_nan_and_negative_call_delay_rejected():
+    eng = Engine()
+    for bad in (NAN, -1.0):
+        with pytest.raises(ValueError):
+            eng.call(print, None, bad)
+    assert eng.peek() == float("inf")
+
+
+def test_clock_never_runs_backwards_with_a_rejected_nan():
+    eng = Engine()
+    fired = []
+    for delay in (3.0, NAN, 1.0, 2.0):
+        try:
+            eng.timeout(delay).callbacks.append(lambda _ev: fired.append(eng.now))
+        except ValueError:
+            pass
+    eng.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+# -- call entries ----------------------------------------------------------------
+
+
+def test_calls_and_events_run_fifo_at_equal_time():
+    eng = Engine()
+    order = []
+
+    def note(label):
+        return lambda _ev: order.append(label)
+
+    eng.call(order.append, "call-1", 1.0)
+    eng.timeout(1.0).callbacks.append(note("timeout"))
+    eng.call(order.append, "call-2", 1.0)
+    ev = eng.event()
+    ev.callbacks.append(note("event"))
+    ev.succeed(delay=1.0)
+    eng.call(order.append, "call-3", 1.0)
+    eng.call(order.append, "early", 0.5)
+    eng.run()
+    assert order == ["early", "call-1", "timeout", "call-2", "event", "call-3"]
+    assert eng.now == 1.0
+
+
+def test_call_passes_its_argument_and_each_call_is_one_step():
+    eng = Engine()
+    seen = []
+    eng.call(seen.append, ("payload", 7))
+    eng.call(seen.append)
+    eng.step()
+    assert seen == [("payload", 7)]
+    eng.step()
+    assert seen == [("payload", 7), None]
+    with pytest.raises(SimulationError):
+        eng.step()
+
+
+def test_exception_in_a_call_leaves_run_with_its_own_type():
+    class ModelBug(Exception):
+        pass
+
+    def bad(_arg):
+        raise ModelBug("in a call")
+
+    for until in (None, 5.0, "event"):
+        eng = Engine()
+        eng.call(bad, None, 1.0)
+        stop = eng.timeout(2.0) if until == "event" else until
+        with pytest.raises(ModelBug, match="in a call"):
+            eng.run(stop)
+        assert eng.now == 1.0
+
+
+def test_interrupt_before_first_resume_delivers_interrupt():
+    eng = Engine()
+    log = []
+
+    def sleeper():
+        try:
+            yield eng.timeout(10.0)
+        except Interrupt as intr:
+            log.append((eng.now, intr.cause))
+        yield eng.timeout(1.0)
+        log.append(("done", eng.now))
+
+    p = eng.process(sleeper())
+    p.interrupt("early")  # the process has not run a single line yet
+    eng.run()  # the abandoned 10 s timeout must not resume it again
+    assert log == [(0.0, "early"), ("done", 1.0)]
+    assert p.ok
+
+
+def test_uncaught_interrupt_before_first_resume_fails_the_process():
+    eng = Engine()
+
+    def sleeper():
+        yield eng.timeout(10.0)
+
+    p = eng.process(sleeper())
+    p.interrupt("stop")
+    with pytest.raises(Interrupt):
+        eng.run(p)
+    assert eng.now == 0.0
+    eng.run()  # nothing resumes the failed process later
+    assert eng.now == 10.0
+
+
+def test_interrupt_cancels_a_queued_resume_on_a_processed_event():
+    eng = Engine()
+    first = eng.timeout(1.0, value="v")
+    log = []
+
+    def waiter():
+        yield eng.timeout(2.0)
+        try:
+            yield first  # already processed: the resume is queued, not run
+        except Interrupt as intr:
+            log.append((eng.now, intr.cause))
+            return
+        log.append("resumed")
+
+    p = eng.process(waiter())
+
+    def killer():
+        yield eng.timeout(2.0)
+        p.interrupt("now")
+
+    eng.process(killer())
+    eng.run()
+    assert log == [(2.0, "now")]
+
+
+def test_waiting_on_processed_event_resumes_at_the_same_time():
+    eng = Engine()
+    first = eng.timeout(1.0, value="v")
+    eng.run(first)
+    assert first.processed
+    trace = []
+
+    def late():
+        v = yield first
+        trace.append((eng.now, v))
+
+    p = eng.process(late())
+    eng.call(trace.append, "queued-before-resume")
+    eng.run(p)
+    # Boot, then the resume is queued behind the call already waiting.
+    assert trace == ["queued-before-resume", (1.0, "v")]
