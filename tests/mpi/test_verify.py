@@ -25,8 +25,10 @@ from repro.mpi.verify import (
     find_races,
     interpret_schedule,
     reduce_contract,
+    train_step_contract,
     verify_schedule,
 )
+from repro.mpi.verify.mutate import MUTATORS
 from repro.mpi.verify.report import MAX_ISSUES_PER_PASS, Issue, cap_issues
 from repro.mpi.verify.sweep import crosscheck_goldens, run_sweep
 
@@ -189,6 +191,98 @@ def test_semantic_flags_unbound_buffer_and_contract_mismatch():
 
     report = verify_schedule(sched, allreduce_contract(3, 2))
     assert "contract-mismatch" in report.kinds()
+
+
+# -- contract factories -------------------------------------------------------
+
+
+def test_reduce_contract_constrains_the_root():
+    # Rank 0's data is only copied to rank 1: the root (1) never sees a
+    # full sum, so the proof must fail; rank 0 as root is just as wrong.
+    b = ScheduleBuilder(2, name="copy-only", count=4, itemsize=4)
+    b.send(0, 1, "a", 0, 4)
+    b.copy(1, 0, "a", 0, 4)
+    sched = b.build(validate=True)
+    for root in (0, 1):
+        report = verify_schedule(sched, reduce_contract(2, 4, root=root))
+        assert report.issues_by_pass("semantic"), report.format()
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: allreduce_contract(0, 4),
+    lambda: allreduce_contract(2, -1),
+    lambda: reduce_contract(0, 4),
+    lambda: reduce_contract(2, -1),
+    lambda: reduce_contract(2, 4, root=7),
+    lambda: reduce_contract(2, 4, root=2),
+    lambda: reduce_contract(2, 4, root=-1),
+    lambda: broadcast_contract(0, 4),
+    lambda: broadcast_contract(2, -3),
+    lambda: broadcast_contract(2, 4, root=2),
+    lambda: broadcast_contract(2, 4, root=-1),
+    lambda: barrier_contract(0),
+    lambda: train_step_contract(0, 4),
+    lambda: train_step_contract(2, -1),
+    lambda: alltoallv_contract(()),
+    lambda: alltoallv_contract(((1, 2, 3), (1, 2))),
+    lambda: alltoallv_contract(((1, 2), (1, 2), (1, 2))),
+    lambda: alltoallv_contract(((1,), (2,))),
+    lambda: alltoallv_contract(((1, -2), (1, 2))),
+])
+def test_contract_factories_reject_impossible_collectives(factory):
+    with pytest.raises(ValueError):
+        factory()
+
+
+def test_contract_factories_accept_edge_sizes():
+    assert allreduce_contract(1, 0).buffers(0) == {"data": 0}
+    assert reduce_contract(3, 5, root=2).expected(1, "data") is None
+    assert broadcast_contract(3, 5, root=2).expected(0, "data") == {(2, "data", 0): 1}
+    assert alltoallv_contract(((0,),)).buffers(0) == {"out0": 0, "in0": 0}
+
+
+# -- run-length scale ---------------------------------------------------------
+
+
+def _endpoints(schedule) -> set[int]:
+    """Every range endpoint any step of ``schedule`` names."""
+    points: set[int] = set()
+    for step in schedule.steps:
+        for attr in ("lo", "hi", "src_lo", "src_hi"):
+            if hasattr(step, attr):
+                points.add(getattr(step, attr))
+    return points
+
+
+@pytest.mark.parametrize("name", ["rabenseifner", "recursive_doubling"])
+def test_semantic_pass_scales_with_runs_not_elements(name):
+    # Ten million elements per rank: a per-element store could neither
+    # build nor compare this in test time; the run store needs one run
+    # per distinct range boundary.
+    compiler = ALLREDUCE_COMPILERS[name]
+    big, small = 10**7, 1003
+    sched = compiler(16, big, 4)
+    contract = allreduce_contract(16, big)
+    report = verify_schedule(sched, contract)
+    assert report.ok, report.format()
+
+    result = interpret_schedule(sched, contract)
+    bound = len(_endpoints(sched)) + 1
+    for bufs in result.states.values():
+        for runs in bufs.values():
+            assert len(runs) <= bound
+            assert runs[0][0] == 0 and runs[-1][1] == big
+
+    def drop_send_kinds(count):
+        schedule = compiler(16, count, 4)
+        return [
+            sorted(verify_schedule(m.schedule, allreduce_contract(16, count)).kinds())
+            for m in MUTATORS["drop-send"](schedule, 2)
+        ]
+
+    kinds = drop_send_kinds(big)
+    assert kinds and all(kinds)
+    assert kinds == drop_send_kinds(small)
 
 
 # -- race detection -----------------------------------------------------------
