@@ -3,7 +3,10 @@
 See DESIGN.md §4h.  The pieces:
 
 * :class:`~repro.fleet.cluster.SharedCluster` — nodes, racks, the shared
-  engine/fabric/world, and the slot/utilization ledger;
+  engine/fabric/world, and the utilization integrals;
+* :mod:`~repro.fleet.control` — the control core: one state (nodes,
+  jobs, queue) and the transitions the scheduler and the model checker
+  (:mod:`~repro.fleet.verify`) both run;
 * :class:`~repro.fleet.jobs.JobSpec` / :class:`~repro.fleet.jobs.FleetJob`
   — deterministic job definitions and their runtime training programs;
 * :class:`~repro.fleet.collective.FleetAttempt` — a job's allreduce
@@ -19,8 +22,9 @@ See DESIGN.md §4h.  The pieces:
 """
 
 from repro.fleet.chaos import fleet_chaos_sweep
-from repro.fleet.cluster import Node, SharedCluster
+from repro.fleet.cluster import SharedCluster
 from repro.fleet.collective import FleetAttempt, JobLost
+from repro.fleet.control import Node
 from repro.fleet.health import HealthPolicy, health_monitor
 from repro.fleet.jobs import (
     FleetJob,

@@ -8,51 +8,30 @@ share each node's reduce/copy CPU (:class:`~repro.sim.resources.Resource`)
 and share the per-``(src, dst)`` NIC send queue — co-location manufactures
 genuine stragglers instead of modelled ones.
 
-Fault domains are *nodes*: :meth:`SharedCluster.kill_node` marks a node
-dead and reports every job slot hosted there, so the scheduler can emit
-one correlated :class:`~repro.mpi.schedule.RankFailure` per hosted job.
-Racks are the placement-level fault domains (`rack = node // nodes_per_rack`
+Fault domains are *nodes*: the slot ledger, liveness, drains and SDC
+strikes are the control core's :class:`~repro.fleet.control.Node`
+records (:mod:`repro.fleet.control` mutates them; the scheduler turns a
+node death into one correlated :class:`~repro.mpi.schedule.RankFailure`
+per hosted job).  Racks are the placement-level fault domains (`rack = node // nodes_per_rack`
 equals the node's fat-tree leaf), which the ``pack``/``spread`` placement
 policies trade off against allreduce locality.
 
-Slot allocation is strictly accounted: every ``allocate`` must be paired
-with a ``release``, and :meth:`leaked_placements` names any slot still
-held after the fleet drains — the chaos sweep's "no leaked placements"
-invariant reads it directly.
+The cluster keeps the utilization integrals, advanced by :meth:`account`
+just before every ledger change, and :meth:`leaked_placements` names any
+slot still held after the fleet drains — the chaos sweep's "no leaked
+placements" invariant reads it directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.fleet.control import Node
 from repro.mpi.world import MPIWorld
 from repro.net.fabric import Fabric
 from repro.net.params import CONNECTX5_DUAL, NetworkParams
 from repro.net.topology import fat_tree
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 
 __all__ = ["Node", "SharedCluster"]
-
-
-@dataclass
-class Node:
-    """One host: a fault domain holding ``slots`` learner slots."""
-
-    index: int
-    rack: int
-    slots: int
-    alive: bool = True
-    #: job name -> number of slots that job holds here (at most 1 today:
-    #: a communicator cannot host two ranks of one job on the same node).
-    held: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def used(self) -> int:
-        return sum(self.held.values())
-
-    @property
-    def free(self) -> int:
-        return self.slots - self.used if self.alive else 0
 
 
 class SharedCluster:
@@ -95,15 +74,10 @@ class SharedCluster:
             Node(i, i // nodes_per_rack, slots_per_node) for i in range(n_nodes)
         ]
         # Utilization ledger: integrals of busy slots and live capacity over
-        # simulated time, advanced lazily at every allocation event.
-        self._busy = 0
-        self._capacity = n_nodes * slots_per_node
+        # simulated time, advanced lazily before every ledger change.
         self._busy_integral = 0.0
         self._capacity_integral = 0.0
         self._last_account = 0.0
-        # Confirmed silent-data-corruption detections per node since its
-        # last drain — the compute-plane health signal.
-        self._sdc_counts: dict[int, int] = {}
 
     # -- topology helpers ---------------------------------------------------
     @property
@@ -112,9 +86,6 @@ class SharedCluster:
 
     def rack_of(self, node_index: int) -> int:
         return self.nodes[node_index].rack
-
-    def live_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.alive]
 
     def rack_uplinks(self, rack: int) -> list[int]:
         """Indices of both directions of ``rack``'s leaf-to-spine cables."""
@@ -156,91 +127,6 @@ class SharedCluster:
             for i in indices
         )
 
-    # -- slot ledger --------------------------------------------------------
-    def allocate(self, job_name: str, node_index: int) -> None:
-        node = self.nodes[node_index]
-        if not node.alive:
-            raise SimulationError(
-                f"allocate on dead node {node_index} for job {job_name!r}"
-            )
-        if node.free < 1:
-            raise SimulationError(
-                f"no free slot on node {node_index} for job {job_name!r}"
-            )
-        self._account()
-        node.held[job_name] = node.held.get(job_name, 0) + 1
-        self._busy += 1
-
-    def release(self, job_name: str, node_index: int) -> None:
-        node = self.nodes[node_index]
-        held = node.held.get(job_name, 0)
-        if held < 1:
-            raise SimulationError(
-                f"release of unheld slot on node {node_index} by {job_name!r}"
-            )
-        self._account()
-        if held == 1:
-            del node.held[job_name]
-        else:
-            node.held[job_name] = held - 1
-        if node.alive:
-            # A dead node's held slots already left the busy ledger when
-            # the node died; releasing them is pure bookkeeping.
-            self._busy -= 1
-
-    def kill_node(self, node_index: int) -> list[tuple[str, int]]:
-        """Mark a node dead; returns ``(job_name, held_slots)`` casualties.
-
-        The node's capacity and its busy slots leave the utilization
-        ledger immediately, but the *allocations* stay on the node until
-        each hosted job absorbs the failure and releases them — exactly
-        the window the "no leaked placements" invariant polices.
-        """
-        node = self.nodes[node_index]
-        if not node.alive:
-            raise SimulationError(f"node {node_index} is already dead")
-        self._account()
-        node.alive = False
-        self._capacity -= node.slots
-        self._busy -= node.used
-        return sorted(node.held.items())
-
-    def revive_node(self, node_index: int) -> None:
-        """Bring a dead node back: its capacity rejoins the ledger.
-
-        Any slots still *held* on the node (jobs that have not yet
-        absorbed the death) rejoin the busy integral too — their eventual
-        ``release`` decrements it symmetrically, because the node is alive
-        again.  The learners themselves stay doomed: each hosting job's
-        pending-victim scan keys on the recorded death, not on current
-        liveness, so a flap can never resurrect a half-dead rank.
-        """
-        node = self.nodes[node_index]
-        if node.alive:
-            raise SimulationError(f"node {node_index} is already alive")
-        self._account()
-        node.alive = True
-        self._capacity += node.slots
-        self._busy += node.used
-
-    # -- silent-data-corruption ledger --------------------------------------
-    def record_sdc(self, node_index: int) -> int:
-        """Charge one confirmed SDC detection to a node; returns the new
-        count.  Attribution (which learner, hence which node) happens at
-        the allreduce boundary in :mod:`repro.train.sdc`; the scheduler
-        books each confirmed event here so the health monitor sees repeat
-        offenders across *jobs*."""
-        self._sdc_counts[node_index] = self._sdc_counts.get(node_index, 0) + 1
-        return self._sdc_counts[node_index]
-
-    def sdc_count(self, node_index: int) -> int:
-        return self._sdc_counts.get(node_index, 0)
-
-    def clear_sdc(self, node_index: int) -> None:
-        """Reset a node's SDC strikes (on drain: the fault follows the
-        hardware out of service, and a later revived node starts clean)."""
-        self._sdc_counts.pop(node_index, None)
-
     def leaked_placements(self) -> list[tuple[int, str, int]]:
         """Every slot still held, as ``(node, job_name, count)``."""
         return [
@@ -250,12 +136,14 @@ class SharedCluster:
         ]
 
     # -- utilization --------------------------------------------------------
-    def _account(self, until: float | None = None) -> None:
+    def account(self, until: float | None = None) -> None:
+        """Integrate busy and live slots up to ``until`` (or now)."""
         now = self.engine.now if until is None else min(until, self.engine.now)
         dt = now - self._last_account
         if dt > 0:
-            self._busy_integral += dt * self._busy
-            self._capacity_integral += dt * self._capacity
+            live = [n for n in self.nodes if n.alive]
+            self._busy_integral += dt * sum(n.used for n in live)
+            self._capacity_integral += dt * sum(n.slots for n in live)
             self._last_account = now
 
     def utilization(self, until: float | None = None) -> float:
@@ -265,16 +153,12 @@ class SharedCluster:
         the drained engine's clock running past the last real event, and
         that idle tail should not dilute the fleet's utilization.
         """
-        self._account(until)
+        self.account(until)
         if self._capacity_integral <= 0:
             return 0.0
         return self._busy_integral / self._capacity_integral
 
     def capacity_integral_at(self, until: float | None = None) -> float:
         """Live node-slot-seconds accumulated up to ``until`` (or now)."""
-        self._account(until)
+        self.account(until)
         return self._capacity_integral
-
-    @property
-    def capacity_integral(self) -> float:
-        return self.capacity_integral_at()

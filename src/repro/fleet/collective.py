@@ -74,7 +74,7 @@ class FleetAttempt(ExecutorAttempt):
         self.job.drop_slot(rank)
 
     def launch(self) -> Event:
-        comm = Communicator(self.cluster.world, self.job.placement_ranks())
+        comm = Communicator(self.cluster.world, list(self.job.placement))
         self.tag = (self.job.spec.name, self.iteration, self.job.next_collective_seq())
         done = self.execute(comm)
         self.job.active_executor = self.executor

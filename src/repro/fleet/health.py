@@ -8,8 +8,8 @@ monitor closes that gap: it polls each live node's runtime signals
 (worst residual link-bandwidth factor via
 :meth:`~repro.fleet.cluster.SharedCluster.node_link_factor`, reduce-CPU
 queue depth via :meth:`~repro.mpi.world.MPIWorld.cpu_queue_depth`, and
-confirmed silent-data-corruption strikes via
-:meth:`~repro.fleet.cluster.SharedCluster.sdc_count`),
+confirmed silent-data-corruption strikes from the node's
+:attr:`~repro.fleet.control.Node.sdc` ledger),
 classifies them with a pure :class:`~repro.train.faults.DrainPolicy`,
 and — after the policy's ``strikes`` *consecutive* unhealthy polls, so a
 single transient queue spike never moves a learner — asks the scheduler
@@ -69,14 +69,14 @@ def health_monitor(
     ):
         yield engine.timeout(health.poll_every)
         for node in cluster.nodes:
-            if not node.alive or node.index in scheduler.draining:
+            if not node.alive or node.draining:
                 strikes.pop(node.index, None)
                 continue
             signal = NodeHealthSignal(
                 node=node.index,
                 cpu_queue_depth=cluster.world.cpu_queue_depth(node.index),
                 link_factor=min(1.0, cluster.node_link_factor(node.index)),
-                sdc_count=cluster.sdc_count(node.index),
+                sdc_count=node.sdc,
             )
             reason = policy.classify(signal)
             if reason is None:

@@ -46,15 +46,18 @@ A granted node that dies before the boundary is revoked, never joined.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.fleet import control
 from repro.fleet.collective import FleetAttempt
+from repro.fleet.control import Job
 from repro.mpi.guard import CollectiveTelemetry, RetryPolicy
-from repro.sim.engine import Event, Interrupt
+from repro.sim.engine import Event, Interrupt, Process
 
 if TYPE_CHECKING:  # circular at runtime: scheduler imports this module
     from repro.fleet.cluster import SharedCluster
@@ -123,6 +126,14 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.n_learners < 1 or self.n_steps < 1:
             raise ValueError("n_learners and n_steps must be >= 1")
+        for name in ("arrival", "compute_time", "checkpoint_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
+            )
         if self.preemption not in ("requeue", "shrink"):
             raise ValueError(f"unknown preemption mode {self.preemption!r}")
         validate_scripted_lineage(
@@ -219,7 +230,6 @@ class JobTelemetry:
     steps: int = 0
     retries: int = 0
     backoff: float = 0.0
-    requeues: int = 0
     preemptions: int = 0
     checkpoints: int = 0
     grows: int = 0
@@ -228,40 +238,31 @@ class JobTelemetry:
     goodput_node_seconds: float = 0.0
 
 
-class FleetJob:
-    """Runtime state of one job: placement, lineage, process handle."""
+class FleetJob(Job):
+    """One job: its control state (:class:`~repro.fleet.control.Job`,
+    mutated only by :mod:`repro.fleet.control`) plus the engine side —
+    spec, trainer, program process, telemetry."""
 
     def __init__(self, spec: JobSpec):
+        super().__init__(
+            spec.name, spec.priority, spec.n_learners, spec.elastic_grow,
+            spec.preemption,
+        )
         self.spec = spec
-        self.status = "pending"
         self.trainer: DistributedSGDTrainer | None = None
-        #: World rank (= node index) of each live slot, group-rank order.
-        self.placement: list[int] = []
-        self.proc = None
-        self.active_executor = None
+        self.proc: Process | None = None
+        self.active_executor: Any = None
         self.telemetry = JobTelemetry()
-        self.shrink_log: list[tuple[int, int]] = []
-        self.grow_log: list[tuple[int, int]] = []
-        self.saved: tuple[TrainerCheckpoint, tuple, tuple] | None = None
-        self.pending_shrinks = 0  # controlled (preemption) shrink requests
-        self.preempt_pending = False
-        #: Nodes granted by the scheduler (slots already allocated), to be
-        #: incorporated as learners at the next iteration boundary.
-        self.pending_grows: list[int] = []
-        #: Nodes that died while hosting one of our slots — the victim
-        #: scan keys on this, not on current liveness, so a revived
-        #: (flapping) node can never resurrect a doomed learner.
-        self.dead_nodes: set[int] = set()
-        #: Nodes being drained under us: surrender that slot at the next
-        #: collective boundary (the proactive-migration shrink half).
-        self.pending_migrations: set[int] = set()
         self.final_params: np.ndarray | None = None
+        self.final_iteration = 0
+        #: Why the program died (read when the scheduler logs the loss).
+        self.error: Exception | None = None
         self._enqueued_at: float | None = None
         self._collective_seq = 0
-        self._scripted = {}
+        self._scripted: dict[int, list[int]] = {}
         for iteration, slot in spec.scripted_shrinks:
             self._scripted.setdefault(iteration, []).append(slot)
-        self._scripted_grows = {}
+        self._scripted_grows: dict[int, list[int]] = {}
         for iteration, slot in spec.scripted_grows:
             self._scripted_grows.setdefault(iteration, []).append(slot)
         self._sdc_by_iter: dict[int, list[tuple[int, int]]] = {}
@@ -272,69 +273,39 @@ class FleetJob:
         self.sdc_injected: list[tuple[int, int, int]] = []
 
     # -- identity / bookkeeping --------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def n_live(self) -> int:
-        return len(self.placement)
-
-    def learners_needed(self) -> int:
-        """Gang size for the next (re)start."""
-        if self.saved is not None:
-            return len(self.saved[0].learner_ids)
-        return self.spec.n_learners
-
-    def placement_ranks(self) -> list[int]:
-        return list(self.placement)
-
     def next_collective_seq(self) -> int:
         self._collective_seq += 1
         return self._collective_seq
 
     def learner_id(self, slot: int) -> int:
-        return self.trainer.learner_ids[slot]
+        assert self.trainer is not None
+        return int(self.trainer.learner_ids[slot])
 
-    # -- victim plumbing (called from the guarded collective) ---------------
+    def mark_enqueued(self, now: float) -> None:
+        self._enqueued_at = now
+
+    # -- control transitions (applied through the scheduler) ------------------
     def next_victim(self) -> int | None:
-        """Lowest slot whose node died, else a pending controlled shrink,
-        else a slot being drained off a sick node (proactive migration)."""
-        for slot, node_index in enumerate(self.placement):
-            if (
-                node_index in self.dead_nodes
-                or not self._cluster.nodes[node_index].alive
-            ):
-                return slot
-        if self.pending_shrinks > 0 and self.n_live > 1:
-            self.pending_shrinks -= 1
-            return self.n_live - 1
-        if self.n_live > 1:
-            for slot, node_index in enumerate(self.placement):
-                if node_index in self.pending_migrations:
-                    return slot
-        return None
+        return control.next_victim(self._scheduler.control, self)
 
     def drop_slot(self, slot: int) -> None:
-        """Forget a victim slot and return its allocation to the ledger."""
-        node_index = self.placement.pop(slot)
-        self.dead_nodes.discard(node_index)
-        self.pending_migrations.discard(node_index)
-        self._cluster.release(self.name, node_index)
-        self._scheduler.on_slot_freed(self, node_index)
+        self._scheduler.apply(control.drop_slot, self, slot)
 
-    def record_shrink(self, iteration: int, slot: int) -> None:
-        self.shrink_log.append((iteration, slot))
+    def _absorb(self, slot: int) -> None:
+        assert self.trainer is not None
+        self._scheduler.apply(control.absorb, self, slot, self.trainer.iteration)
 
-    def record_grow(self, iteration: int, slot: int) -> None:
-        self.grow_log.append((iteration, slot))
+    def _quarantine(self, slot: int, detail: str) -> None:
+        """Expel a learner the SDC audit named: book the strike against
+        its node, shrink, then free the slot."""
+        assert self.trainer is not None
+        self._scheduler.apply(
+            control.sdc, self, slot, self.trainer.iteration, detail
+        )
 
-    # -- program -------------------------------------------------------------
-    def start(
-        self, cluster: SharedCluster, scheduler: FleetScheduler,
-        placement: list[int],
-    ) -> None:
-        """Claim ``placement`` and spawn the training process."""
+    # -- engine side of control effects ---------------------------------------
+    def launch(self, cluster: SharedCluster, scheduler: FleetScheduler) -> None:
+        """Build (or restore) the trainer and spawn the training process."""
         self._cluster = cluster
         self._scheduler = scheduler
         now = cluster.engine.now
@@ -343,38 +314,42 @@ class FleetJob:
             self._enqueued_at = None
         if self.telemetry.first_start is None:
             self.telemetry.first_start = now
-        for node_index in placement:
-            cluster.allocate(self.name, node_index)
-        self.placement = list(placement)
-        if self.trainer is None:
-            if self.saved is not None:
-                ckpt, shrinks, grows = self.saved
-                self.trainer = DistributedSGDTrainer.from_checkpoint(
-                    ckpt, tiny_net_factory(self.spec.n_classes),
-                    sdc_buckets=self.spec.sdc_buckets,
-                )
-                self.shrink_log = list(shrinks)
-                self.grow_log = list(grows)
-            else:
-                spec = self.spec
-                self.trainer = build_tiny_trainer(
-                    spec.n_learners, spec.seed, n_classes=spec.n_classes,
-                    records_per_learner=spec.records_per_learner,
-                    batch_per_gpu=spec.batch_per_gpu, reducer=spec.reducer,
-                    reshuffle_on_shrink=False, sdc_buckets=spec.sdc_buckets,
-                )
-                self.shrink_log = []
-                self.grow_log = []
-        self.status = "running"
+        spec = self.spec
+        if self.saved is not None:
+            self.trainer = DistributedSGDTrainer.from_checkpoint(
+                self.saved[0], tiny_net_factory(spec.n_classes),
+                sdc_buckets=spec.sdc_buckets,
+            )
+        else:
+            self.trainer = build_tiny_trainer(
+                spec.n_learners, spec.seed, n_classes=spec.n_classes,
+                records_per_learner=spec.records_per_learner,
+                batch_per_gpu=spec.batch_per_gpu, reducer=spec.reducer,
+                reshuffle_on_shrink=False, sdc_buckets=spec.sdc_buckets,
+            )
         self.proc = cluster.engine.process(self._program(), name=f"job:{self.name}")
 
-    def mark_enqueued(self, now: float) -> None:
-        self.status = "queued"
-        self._enqueued_at = now
+    def grow_learner(self, nth: int) -> int:
+        """Seed the lineage's ``nth`` grown learner; returns its slot."""
+        assert self.trainer is not None
+        self.telemetry.grows += 1
+        return int(self.trainer.grow_learner(self.spec.n_learners + nth))
 
+    def shrink_learner(self, slot: int) -> None:
+        """Absorb a dropped learner into the trainer.
+
+        Fleet shrinks never run the Algorithm 2 reshuffle, whatever the
+        trainer's ``reshuffle_on_shrink``: the job's data plane only
+        re-deals the lost learner's records.
+        """
+        assert self.trainer is not None
+        self.trainer.absorb_failure(slot, reshuffle=False)
+
+    # -- program -------------------------------------------------------------
     def _program(self) -> Iterator[Event]:
         engine = self._cluster.engine
         trainer = self.trainer
+        assert trainer is not None
         spec = self.spec
         try:
             while trainer.iteration < spec.n_steps:
@@ -429,28 +404,12 @@ class FleetJob:
         contribution — so the scripted run's sums, LR rescales and record
         deals land identically to the faulted run's.
         """
+        assert self.trainer is not None
         for slot in self._scripted.get(self.trainer.iteration, ()):
             del grads[slot]
             self._absorb(slot)
             self.drop_slot(slot)
         return grads
-
-    def _absorb(self, slot: int) -> None:
-        """Shrink the trainer by one learner and log it in the lineage.
-
-        Fleet shrinks never run the Algorithm 2 reshuffle, whatever the
-        trainer's ``reshuffle_on_shrink``: the job's data plane only
-        re-deals the lost learner's records.
-        """
-        self.record_shrink(self.trainer.iteration, slot)
-        self.trainer.absorb_failure(slot, reshuffle=False)
-
-    def _quarantine(self, slot: int, detail: str) -> None:
-        """Expel a learner the SDC audit named: book the strike against
-        its node, shrink, then free the slot."""
-        self._scheduler.on_sdc(self, slot, self.placement[slot], detail)
-        self._absorb(slot)
-        self.drop_slot(slot)
 
     def _inject_sdc(
         self, grads: list[np.ndarray], ranges: list[tuple[int, int]]
@@ -461,6 +420,7 @@ class FleetJob:
         lineage) is skipped — the fault targeted hardware that no longer
         hosts a learner of ours.
         """
+        assert self.trainer is not None
         for slot, bucket in self._sdc_by_iter.get(self.trainer.iteration, ()):
             if slot >= len(grads):
                 continue
@@ -469,7 +429,7 @@ class FleetJob:
             self.sdc_injected.append((self.trainer.iteration, slot, bucket))
 
     def _incorporate_grows(self) -> None:
-        """Join granted (or scripted) learners at this iteration boundary.
+        """Join scripted and granted learners at this iteration boundary.
 
         Runs at the *top* of the iteration, before gradient compute, so
         the newcomer contributes fully to this step — the ordering the
@@ -477,29 +437,12 @@ class FleetJob:
         Pure Python state changes only (no engine events), so a job with
         no grants pays nothing.
         """
-        trainer = self.trainer
-        for _slot in self._scripted_grows.get(trainer.iteration, ()):
-            node = self._scheduler.grant_scripted_grow(self)
-            self._grow_onto(node)
-        while self.pending_grows:
-            node = self.pending_grows.pop(0)
-            if not self._cluster.nodes[node].alive:
-                # Granted node died before the boundary: the scheduler's
-                # kill path normally revokes it, but guard anyway.
-                self._cluster.release(self.name, node)
-                self._scheduler.on_grow_revoked(self, node)
-                continue
-            self._grow_onto(node)
-
-    def _grow_onto(self, node_index: int) -> None:
-        """Turn one already-allocated node into a live learner."""
-        trainer = self.trainer
-        new_id = self.spec.n_learners + len(self.grow_log)
-        slot = trainer.grow_learner(new_id)
-        self.placement.append(node_index)
-        self.record_grow(trainer.iteration, slot)
-        self.telemetry.grows += 1
-        self._scheduler.on_grown(self, node_index)
+        assert self.trainer is not None
+        iteration = self.trainer.iteration
+        for _slot in self._scripted_grows.get(iteration, ()):
+            self._scheduler.apply(control.grow_scripted, self, iteration)
+        if self.pending_grows:
+            self._scheduler.apply(control.join_grows, self, iteration)
 
     def _take_checkpoint(self, *, absorb_preempts: bool) -> Iterator[Event]:
         """Capture state, then pay the simulated write window.
@@ -507,17 +450,18 @@ class FleetJob:
         Capture is atomic (plain Python state), so a fault *during* the
         write window can neither tear the snapshot nor corrupt the
         previous one — interrupts here only re-run the remaining wait.
-        A preemption landing inside the window (the chaos sweep's
-        preemption-during-checkpoint point) lets the write finish and
-        commit first; with ``absorb_preempts=False`` it is then re-raised
-        so the program's preemption path runs against the fresh save,
-        with ``absorb_preempts=True`` (already preempting) it is dropped.
+        The lineage cannot move during the window (only this job's own
+        program shrinks or grows it), so the commit logs the captured
+        lineage.  A preemption landing inside the window (the chaos
+        sweep's preemption-during-checkpoint point) lets the write finish
+        and commit first; with ``absorb_preempts=False`` it is then
+        re-raised so the program's preemption path runs against the fresh
+        save, with ``absorb_preempts=True`` (already preempting) it is
+        dropped.
         """
         engine = self._cluster.engine
         self.status = "checkpointing"
         state = TrainerCheckpoint.capture(self.trainer)
-        shrinks = tuple(self.shrink_log)
-        grows = tuple(self.grow_log)
         self.telemetry.checkpoints += 1
         end = engine.now + self.spec.checkpoint_time
         preempted = False
@@ -532,10 +476,10 @@ class FleetJob:
                 if isinstance(exc.cause, PreemptionNotice):
                     preempted = True
                     continue
-                self.saved = (state, shrinks, grows)
+                control.commit_checkpoint(self, state)
                 self.status = "running"
                 raise
-        self.saved = (state, shrinks, grows)
+        control.commit_checkpoint(self, state)
         self.status = "running"
         if preempted and not absorb_preempts:
             raise Interrupt(PreemptionNotice())
@@ -544,39 +488,19 @@ class FleetJob:
         """Controlled preemption: checkpoint, release everything, requeue."""
         self.telemetry.preemptions += 1
         yield from self._take_checkpoint(absorb_preempts=True)
-        self._teardown_trainer()
-        self._release_all()
-        self.status = "preempted"
-        self._scheduler.on_preempted(self)
+        self.teardown()
+        self.mark_enqueued(self._cluster.engine.now)
+        self._scheduler.apply(control.preempt_yield, self)
 
-    def requeue_from_loss(self) -> None:
-        """After a total loss: drop the live trainer, keep the last save."""
-        self._teardown_trainer()
-        self._release_all()
-
-    def _teardown_trainer(self) -> None:
+    def teardown(self) -> None:
         if self.trainer is not None:
             self.trainer.close()
         self.trainer = None
 
-    def _release_all(self) -> None:
-        for node_index in self.placement:
-            self._cluster.release(self.name, node_index)
-            self._scheduler.on_slot_freed(self, node_index)
-        self.placement = []
-        while self.pending_grows:
-            node_index = self.pending_grows.pop(0)
-            self._cluster.release(self.name, node_index)
-            self._scheduler.on_grow_revoked(self, node_index)
-        self.dead_nodes.clear()
-        self.pending_migrations.clear()
-
     def _finish(self) -> None:
+        assert self.trainer is not None
         self.final_params = self.trainer.params().copy()
         self.final_iteration = self.trainer.iteration
-        self._teardown_trainer()
-        self._release_all()
-        self.status = "finished"
+        self.teardown()
         self.telemetry.finished = self._cluster.engine.now
-        self._scheduler.on_finished(self)
-
+        self._scheduler.apply(control.finish, self)

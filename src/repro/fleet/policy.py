@@ -1,23 +1,19 @@
 """Pure fleet control-plane policy: every scheduler *decision* as a function.
 
-``FleetScheduler`` used to make its decisions inline — placement scoring
-in ``_place``, grow-offer order and grow-node choice in
-``_offer_grows``/``_pick_grow_node``, preemption-victim selection in
-``_maybe_preempt``, drain gating in ``drain_node``.  This module hoists
-all of them into pure functions over a serializable :class:`FleetState`
-snapshot, with two consumers sharing the exact same code:
+Placement scoring, queue order, grow-offer order and grow-node choice,
+preemption-victim selection and drain gating are pure functions over a
+serializable :class:`FleetState` snapshot.  The control core
+(:mod:`repro.fleet.control`) calls them on
+:meth:`~repro.fleet.control.ControlState.snapshot` before every
+decision, and both the runtime scheduler and the model checker
+(:mod:`repro.fleet.verify`) run that core — so a policy bug the checker
+proves absent is absent from the runtime too, and a mutation of this
+file is visible to both.
 
-* the **runtime** scheduler (:mod:`repro.fleet.scheduler`) builds a
-  snapshot of its live objects before every decision;
-* the **model checker** (:mod:`repro.fleet.verify`) builds snapshots of
-  its abstract states while exhaustively exploring event interleavings —
-  so a policy bug the checker proves absent is absent from the runtime
-  too, and a mutation of this file is visible to both.
-
-This is also the seam ROADMAP item 3's DRF allocator targets: weighted
-fair sharing replaces these functions (share-aware ``scan_order`` /
+This is also the seam a DRF allocator targets: weighted fair sharing
+replaces these functions (share-aware ``scan_order`` /
 ``grow_offer_order`` / ``select_preemption_victims``) without touching
-the scheduler's event plumbing, and inherits the checker for free.
+the control core's plumbing, and inherits the checker for free.
 
 Nothing here mutates anything, reads a clock, or draws randomness:
 ``decision = f(FleetState)``, always.
@@ -73,20 +69,19 @@ class JobView(NamedTuple):
 
     name: str
     priority: int
-    #: FIFO tiebreak: submission order (``-1`` = never enqueued, sorts
-    #: like the runtime's ``_order.get(name, 0)`` default would).
+    #: FIFO tiebreak: first-enqueue order (``-1`` = never enqueued).
     order: int
     #: Raw job status string (``"running"``, ``"queued"``, ...).
     status: str
-    #: True when a live program is attached (the runtime's
-    #: ``proc is not None and proc.is_alive`` on top of the status).
+    #: True while the job's program runs (an active status; the core
+    #: leaves those statuses before it releases a stopping job's slots).
     active: bool
     preemption: str
     elastic_grow: bool
     #: Full gang size the job wants to (re)grow towards.
     target: int
-    #: Gang size for the next (re)start (checkpointed live count after a
-    #: shrink, else ``target``) — the runtime's ``learners_needed()``.
+    #: Gang size for the next (re)start: the saved lineage's learner
+    #: count after a checkpoint, else ``target``.
     needed: int
     placement: tuple[int, ...]
     pending_grows: tuple[int, ...]

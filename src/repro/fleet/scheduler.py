@@ -32,7 +32,7 @@ fleet):
 * **grow-after-shrink** — whenever the queue is empty and slots are
   spare, shrunk jobs with ``elastic_grow=True`` are offered nodes back
   (up to their original gang size).  The grant allocates the slot in the
-  cluster ledger *immediately* — one slot can never back two grants —
+  slot ledger *immediately* — one slot can never back two grants —
   and the job joins the learner at its next iteration boundary
   (``grow`` event) or the grant is revoked if the node dies first
   (``grow-revoked`` event).  Queued gangs strictly outrank grow-backs.
@@ -42,31 +42,28 @@ fleet):
   collective boundary (the controlled-shrink path) while a replacement
   node is granted up front (the grow path), so the job moves off the
   sick node before the collective watchdog ever fires.
+
+Every mutation above is a :mod:`repro.fleet.control` transition (the
+same functions the model checker explores); this module adds the engine
+side — processes, interrupts, the requeue backoff timer — and the
+``FleetEvent`` log.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import Any
 
+from repro.fleet import control
 from repro.fleet.cluster import SharedCluster
 from repro.fleet.collective import JobLost
+from repro.fleet.control import ControlState
 from repro.fleet.health import HealthPolicy, health_monitor
 from repro.fleet.jobs import TERMINAL, FleetJob, JobSpec, PreemptionNotice
-from repro.fleet.policy import (
-    FleetState,
-    JobView,
-    NodeView,
-    choose_placement,
-    drain_admissible,
-    grow_offer_order,
-    pick_grow_node,
-    scan_order,
-    select_preemption_victims,
-    wants_grow,
-)
 from repro.mpi.schedule import RankFailure
-from repro.sim.engine import Event, Process, SimulationError
+from repro.sim.engine import Event, Process
 from repro.utils.rng import rng_for
 
 __all__ = ["FleetEvent", "FleetReport", "FleetScheduler", "JobSummary"]
@@ -146,7 +143,13 @@ class FleetReport:
 
 
 class FleetScheduler:
-    """Queue + placement + failure-domain policy over one shared cluster."""
+    """Queue + placement + failure-domain policy over one shared cluster.
+
+    The control plane itself is :mod:`repro.fleet.control`: every entry
+    point below runs one of its transitions through :meth:`apply`, which
+    then carries out the transition's effects on the engine, the jobs'
+    trainers and the event log.
+    """
 
     def __init__(
         self,
@@ -165,6 +168,14 @@ class FleetScheduler:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate job names in workload: {names}")
+        if max_queued is not None and max_queued < 0:
+            raise ValueError(f"max_queued must be >= 0, got {max_queued}")
+        if not (math.isfinite(requeue_base) and requeue_base >= 0):
+            raise ValueError(
+                f"requeue_base must be finite and >= 0, got {requeue_base}"
+            )
+        if max_requeues < 0:
+            raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
         self.cluster = cluster
         self.placement = placement
         self.seed = seed
@@ -173,14 +184,19 @@ class FleetScheduler:
         self.max_requeues = max_requeues
         self.health = health
         self.jobs: dict[str, FleetJob] = {s.name: FleetJob(s) for s in specs}
+        #: The control plane's state, shared with the cluster's node records
+        #: and these jobs; a ledger breach raises ``SimulationError``.
+        self.control = ControlState(
+            placement, cluster.nodes, self.jobs, strict=True,
+            on_ledger=cluster.account,
+        )
         self.events: list[FleetEvent] = []
-        #: Nodes under a proactive drain: excluded from placement and from
-        #: grow grants until revived or restored to health.
-        self.draining: set[int] = set()
-        self._queue: list[FleetJob] = []
-        self._seq = 0
-        self._order: dict[str, int] = {}
         self._ran = False
+
+    @property
+    def draining(self) -> set[int]:
+        """Nodes under a proactive drain (no placements, no grants)."""
+        return {n.index for n in self.cluster.nodes if n.draining}
 
     # -- driving ------------------------------------------------------------
     def run(self) -> FleetReport:
@@ -206,409 +222,202 @@ class FleetScheduler:
     def _arrival(self, job: FleetJob) -> Iterator[Event]:
         if job.spec.arrival > 0:
             yield self.cluster.engine.timeout(job.spec.arrival)
-        now = self.cluster.engine.now
-        job.telemetry.submitted = now
-        if job.spec.n_learners > len(self.cluster.live_nodes()):
-            job.status = "rejected"
-            self._log(
-                "reject", f"{job.name}: needs {job.spec.n_learners} nodes, "
-                f"{len(self.cluster.live_nodes())} alive", job=job.name,
-            )
-            return
-        if self.max_queued is not None and len(self._queue) >= self.max_queued:
-            job.status = "rejected"
-            self._log(
-                "reject", f"{job.name}: queue full ({self.max_queued})",
-                job=job.name,
-            )
-            return
-        self._log("submit", f"{job.name} (priority {job.spec.priority})",
-                  job=job.name)
-        self._enqueue(job)
-        self._kick()
-
-    # -- pure-policy snapshot ------------------------------------------------
-    def snapshot(self) -> FleetState:
-        """Serializable control-plane state the pure policy decides over.
-
-        Every decision below is ``policy_fn(self.snapshot())`` — the model
-        checker (:mod:`repro.fleet.verify`) calls the same functions on
-        snapshots of its abstract states, so checker and runtime can never
-        disagree about a decision.
-        """
-        nodes = tuple(
-            NodeView(
-                index=n.index, rack=n.rack, slots=n.slots, used=n.used,
-                alive=n.alive, draining=n.index in self.draining,
-            )
-            for n in self.cluster.nodes
-        )
-        jobs = tuple(
-            JobView(
-                name=j.name,
-                priority=j.spec.priority,
-                order=self._order.get(j.name, -1),
-                status=j.status,
-                active=(
-                    j.trainer is not None
-                    and j.proc is not None
-                    and j.proc.is_alive
-                ),
-                preemption=j.spec.preemption,
-                elastic_grow=j.spec.elastic_grow,
-                target=j.spec.n_learners,
-                needed=j.learners_needed(),
-                placement=tuple(j.placement),
-                pending_grows=tuple(j.pending_grows),
-                pending_shrinks=j.pending_shrinks,
-                preempt_pending=j.preempt_pending,
-            )
-            for j in self.jobs.values()
-        )
-        queue = tuple(j.name for j in self._queue)
-        return FleetState(self.placement, nodes, jobs, queue)
-
-    # -- queue / placement --------------------------------------------------
-    def _enqueue(self, job: FleetJob) -> None:
-        if job.name not in self._order:
-            self._order[job.name] = self._seq
-            self._seq += 1
+        job.telemetry.submitted = self.cluster.engine.now
         job.mark_enqueued(self.cluster.engine.now)
-        self._queue.append(job)
+        self.apply(control.arrive, job, self.max_queued)
 
-    def _kick(self) -> None:
-        """Scan the queue (priority order, with backfill) and start fits."""
-        progress = True
-        while progress:
-            progress = False
-            for name in scan_order(self.snapshot()):
-                job = self.jobs[name]
-                placed = choose_placement(
-                    self.snapshot(), job.learners_needed()
-                )
-                if placed is not None:
-                    chosen = list(placed)
-                    self._queue.remove(job)
-                    job.start(self.cluster, self, chosen)
-                    self._log(
-                        "start",
-                        f"{job.name} on nodes {chosen} "
-                        f"(racks {sorted({self.cluster.rack_of(n) for n in chosen})})",
-                        job=job.name, nodes=list(chosen),
-                    )
-                    progress = True
-                    break
-                self._maybe_preempt(job)
-                # Gang blocked: leave it queued and backfill smaller jobs.
-        if not self._queue:
-            # Only spare capacity (no queued gang wants it) feeds grows.
-            self._offer_grows()
-        return
+    # -- the control plane ---------------------------------------------------
+    def apply(self, transition: Callable[..., None], *args: object) -> None:
+        """Run one :mod:`repro.fleet.control` transition, then its effects
+        (also the ones emitted before a breach aborted it), in order."""
+        try:
+            transition(self.control, *args)
+        finally:
+            effects, self.control.effects = self.control.effects, []
+            for effect in effects:
+                self._effect(*effect)
 
-    # -- elastic grow --------------------------------------------------------
-    def _grow_eligible(self, job: FleetJob) -> bool:
-        """Is ``job`` running, shrunk, elastic and not on its way out?"""
-        return wants_grow(self.snapshot().job(job.name))
-
-    def _offer_grows(self) -> None:
-        """Grant spare slots back to shrunk elastic jobs (priority order).
-
-        The slot is allocated in the cluster ledger *here*, at grant
-        time — the no-double-grant invariant — and parked on the job's
-        ``pending_grows`` until its next iteration boundary joins the
-        learner (or a node death revokes it).
-        """
-        for name in grow_offer_order(self.snapshot()):
-            job = self.jobs[name]
-            while self._grow_eligible(job):
-                node_index = self._pick_grow_node(job)
-                if node_index is None:
-                    break
-                self.cluster.allocate(job.name, node_index)
-                job.pending_grows.append(node_index)
-                self._log(
-                    "grow-grant",
-                    f"{job.name} granted node {node_index} "
-                    f"(back towards {job.spec.n_learners} learners)",
-                    job=job.name, node=node_index,
-                )
-
-    def _pick_grow_node(self, job: FleetJob) -> int | None:
-        """One free node for ``job``, via :func:`~repro.fleet.policy.pick_grow_node`."""
-        state = self.snapshot()
-        return pick_grow_node(state, state.job(job.name))
-
-    def grant_scripted_grow(self, job: FleetJob) -> int:
-        """Allocate a node for one of ``job``'s scripted (reference) grows."""
-        node_index = self._pick_grow_node(job)
-        if node_index is None:
-            raise SimulationError(
-                f"scripted grow for {job.name}: no free node to grant"
-            )
-        self.cluster.allocate(job.name, node_index)
-        self._log(
-            "grow-grant",
-            f"{job.name} granted node {node_index} (scripted replay)",
-            job=job.name, node=node_index,
-        )
-        return node_index
-
-    def on_grown(self, job: FleetJob, node_index: int) -> None:
-        self._log(
-            "grow",
-            f"{job.name} grew onto node {node_index} "
-            f"(now {job.n_live} learners)",
-            job=job.name, node=node_index,
-        )
-
-    def on_grow_revoked(self, job: FleetJob, node_index: int) -> None:
-        self._log(
-            "grow-revoked",
-            f"{job.name}: granted node {node_index} revoked before joining",
-            job=job.name, node=node_index,
-        )
-
-    # -- preemption ---------------------------------------------------------
-    def _maybe_preempt(self, job: FleetJob) -> None:
-        """Free slots for ``job`` by preempting lower-priority victims.
-
-        *Which* victims, in what order, and in which mode is the pure
-        :func:`~repro.fleet.policy.select_preemption_victims`; this
-        method only delivers the verdict (shrink request or controlled
-        preemption interrupt).
-        """
-        chosen = select_preemption_victims(self.snapshot(), job.name)
-        if chosen is None:
-            return  # capacity already coming, or preemption cannot help
-        for victim_name, mode in chosen:
-            victim = self.jobs[victim_name]
-            if mode == "shrink":
-                victim.pending_shrinks += 1
-                self._log(
-                    "shrink-req",
-                    f"{victim.name} surrenders one learner to {job.name}",
-                    job=victim.name, beneficiary=job.name,
-                )
-            else:
-                victim.preempt_pending = True
-                victim.proc.interrupt(PreemptionNotice())
-                self._log(
-                    "preempt",
-                    f"{victim.name} (priority {victim.spec.priority}) "
-                    f"checkpoints for {job.name} "
-                    f"(priority {job.spec.priority})",
-                    job=victim.name, beneficiary=job.name,
-                )
-
-    # -- fault domains -------------------------------------------------------
-    def kill_node(self, node_index: int) -> None:
-        """Kill a node: correlated ``RankFailure`` into every hosted job.
-
-        A slot merely *granted* on the node (a grow not yet joined) is
-        revoked on the spot — released back to the ledger, never turned
-        into a learner.  A live slot's death is recorded in the job's
-        ``dead_nodes`` so the pending-victim scan keys on the recorded
-        death even if the node later revives (flap-safety).
-        """
-        engine = self.cluster.engine
-        casualties = self.cluster.kill_node(node_index)
-        parts = []
-        for job_name, _slots in casualties:
-            job = self.jobs[job_name]
-            if node_index in job.pending_grows:
-                job.pending_grows.remove(node_index)
-                self.cluster.release(job_name, node_index)
-                self.on_grow_revoked(job, node_index)
-                parts.append(f"job {job_name} grant revoked (not yet joined)")
-                continue
-            job.dead_nodes.add(node_index)
-            slot = job.placement.index(node_index)
-            parts.append(
-                f"job {job_name} slot {slot} (learner {job.learner_id(slot)})"
-            )
+    def _effect(self, kind: object, name: object, *data: Any) -> None:
+        """Carry out one control effect: engine work, then its log line."""
+        job = self.jobs[name] if isinstance(name, str) else None
+        now = self.cluster.engine.now
+        if job is None:
+            self._node_effect(kind, *data)
+        elif kind == "start":
+            nodes = list(data[0])
+            job.launch(self.cluster, self)
+            racks = sorted({self.cluster.rack_of(n) for n in nodes})
+            self._log("start", f"{job.name} on nodes {nodes} (racks {racks})",
+                      job=job.name, nodes=nodes)
+        elif kind == "release":
+            self._log("release", f"{job.name} released node {data[0]}",
+                      job=job.name, node=data[0])
+        elif kind == "absorb":
+            job.shrink_learner(data[0])
+        elif kind == "grow":
+            node, nth = data
+            slot = job.grow_learner(nth)
+            self._log("grow", f"{job.name} grew onto node {node} "
+                      f"(now {slot + 1} learners)", job=job.name, node=node)
+        elif kind == "grow-grant":
+            node, why = data
+            reason = ("scripted replay" if why == "scripted" else
+                      f"back towards {job.spec.n_learners} learners")
+            self._log("grow-grant", f"{job.name} granted node {node} ({reason})",
+                      job=job.name, node=node)
+        elif kind == "grow-revoked":
+            self._log("grow-revoked", f"{job.name}: granted node {data[0]} "
+                      "revoked before joining", job=job.name, node=data[0])
+        elif kind == "interrupt":
+            slot = data[0]
             executor = job.active_executor
             if executor is not None and slot < len(executor.rank_procs):
                 proc = executor.rank_procs[slot]
                 if proc.is_alive:
-                    proc.interrupt(RankFailure(slot, engine.now))
+                    proc.interrupt(RankFailure(slot, now))
             # Otherwise the job is between collectives; the pending-victim
             # scan absorbs the death at its next attempt launch.
-        detail = "; ".join(parts) if parts else "no hosted jobs"
-        self._log(
-            "node-kill",
-            f"node {node_index} (rack {self.cluster.rack_of(node_index)}) "
-            f"died: {detail}",
-            node=node_index, jobs=[name for name, _ in casualties],
-        )
-        self._kick()
-
-    def revive_node(self, node_index: int) -> None:
-        """Bring a dead node back into service and re-run placement.
-
-        Learners the death doomed stay doomed (their jobs key on the
-        recorded death, not current liveness); the node's capacity simply
-        becomes placeable — and grow-grantable — again.
-        """
-        self.cluster.revive_node(node_index)
-        self.draining.discard(node_index)
-        self._log(
-            "revive",
-            f"node {node_index} (rack {self.cluster.rack_of(node_index)}) "
-            f"back in service ({self.cluster.nodes[node_index].slots} slots)",
-            node=node_index,
-        )
-        self._kick()
-
-    def drain_node(self, node_index: int, reason: str) -> None:
-        """Proactively migrate learners off a degraded-but-alive node.
-
-        Each hosted job (with a learner to spare) surrenders its slot on
-        the node at its next collective boundary — the same controlled
-        shrink a preemption uses — while a replacement node is granted up
-        front, so the learner count recovers at the next iteration
-        boundary without waiting for the collective watchdog to fire.
-        """
-        node = self.cluster.nodes[node_index]
-        if not drain_admissible(self.snapshot(), node_index):
-            return
-        self.draining.add(node_index)
-        # The node leaves service with its SDC strikes: a later revive
-        # starts from a clean compute-plane record.
-        self.cluster.clear_sdc(node_index)
-        self._log(
-            "drain",
-            f"node {node_index} (rack {self.cluster.rack_of(node_index)}) "
-            f"draining: {reason}",
-            node=node_index, reason=reason,
-        )
-        for job_name in sorted(node.held):
-            job = self.jobs[job_name]
-            if (
-                job.trainer is None
-                or node_index not in job.placement
-                or node_index in job.pending_migrations
-                or job.n_live <= 1
-            ):
-                continue
-            job.pending_migrations.add(node_index)
-            job.telemetry.migrations += 1
-            replacement = self._pick_grow_node(job)
-            if replacement is not None:
-                self.cluster.allocate(job.name, replacement)
-                job.pending_grows.append(replacement)
-                self._log(
-                    "migrate",
-                    f"{job.name}: learner migrating off node {node_index} "
-                    f"({reason}); replacement node {replacement} granted",
-                    job=job.name, node=node_index,
-                    replacement=replacement, reason=reason,
-                )
-            else:
-                self._log(
-                    "migrate",
-                    f"{job.name}: learner migrating off node {node_index} "
-                    f"({reason}); no replacement free",
-                    job=job.name, node=node_index, reason=reason,
-                )
-        self._kick()
-
-    def undrain_node(self, node_index: int) -> None:
-        """Restore a drained (but alive) node to placement service."""
-        if node_index in self.draining:
-            self.draining.discard(node_index)
-            self._log("undrain", f"node {node_index} restored to service",
-                      node=node_index)
-            self._kick()
-
-    # -- job callbacks -------------------------------------------------------
-    def on_sdc(self, job: FleetJob, slot: int, node_index: int, detail: str) -> int:
-        """Book one confirmed SDC detection against the hosting node.
-
-        Called by a job at the allreduce boundary, *before* it absorbs
-        the quarantined learner (so ``slot`` still resolves).  The strike
-        lands in the cluster's per-node ledger, where the health monitor
-        reads it — a repeat offender crosses ``DrainPolicy.sdc_threshold``
-        and is drained exactly like a degraded link.  Returns the node's
-        updated strike count.
-        """
-        count = self.cluster.record_sdc(node_index)
-        self._log(
-            "sdc-detect",
-            f"{job.name}: learner {job.learner_id(slot)} on node "
-            f"{node_index} quarantined for silent data corruption "
-            f"(node strike {count}): {detail}",
-            job=job.name, node=node_index, slot=slot, strikes=count,
-        )
-        return count
-
-    def on_slot_freed(self, job: FleetJob, node_index: int) -> None:
-        self._log(
-            "release", f"{job.name} released node {node_index}",
-            job=job.name, node=node_index,
-        )
-        self._kick()
-
-    def on_finished(self, job: FleetJob) -> None:
-        self._log(
-            "finish",
-            f"{job.name} after {job.telemetry.steps} steps "
-            f"({job.telemetry.retries} retries, "
-            f"{len(job.shrink_log)} shrinks, {len(job.grow_log)} grows)",
-            job=job.name,
-        )
-        self._kick()
-
-    def on_preempted(self, job: FleetJob) -> None:
-        job.preempt_pending = False
-        self._log("requeue", f"{job.name} (preempted, checkpoint saved)",
-                  job=job.name)
-        self._enqueue(job)
-        self._kick()
-
-    def on_job_error(self, job: FleetJob, exc: BaseException) -> None:
-        if isinstance(exc, JobLost):
-            job.requeue_from_loss()
-            self._log("job-lost", str(exc), job=job.name)
-            self._requeue_with_backoff(job)
-            self._kick()
-            return
-        job.requeue_from_loss()
-        job.status = "failed"
-        job.telemetry.finished = self.cluster.engine.now
-        self._log("job-failed", f"{job.name}: {exc!r}", job=job.name)
-        self._kick()
-
-    def _requeue_with_backoff(self, job: FleetJob) -> None:
-        """Bounded exponential backoff, jitter seeded from the sim RNG."""
-        job.telemetry.requeues += 1
-        if job.telemetry.requeues > self.max_requeues:
-            job.status = "failed"
-            job.telemetry.finished = self.cluster.engine.now
+        elif kind == "shrink-req":
+            self._log("shrink-req", f"{job.name} surrenders one learner to "
+                      f"{data[0]}", job=job.name, beneficiary=data[0])
+        elif kind == "preempt":
+            beneficiary = self.jobs[data[0]]
+            assert job.proc is not None
+            job.proc.interrupt(PreemptionNotice())
             self._log(
-                "job-failed",
-                f"{job.name}: requeue budget exhausted "
-                f"({self.max_requeues})",
+                "preempt",
+                f"{job.name} (priority {job.spec.priority}) checkpoints for "
+                f"{beneficiary.name} (priority {beneficiary.spec.priority})",
+                job=job.name, beneficiary=beneficiary.name,
+            )
+        elif kind == "sdc-detect":
+            slot, node, strikes, detail = data
+            self._log(
+                "sdc-detect",
+                f"{job.name}: learner {job.learner_id(slot)} on node {node} "
+                f"quarantined for silent data corruption (node strike "
+                f"{strikes}): {detail}",
+                job=job.name, node=node, slot=slot, strikes=strikes,
+            )
+        elif kind == "migrate":
+            node, replacement, reason = data
+            job.telemetry.migrations += 1
+            prefix = (f"{job.name}: learner migrating off node {node} "
+                      f"({reason}); ")
+            if replacement is None:
+                self._log("migrate", prefix + "no replacement free",
+                          job=job.name, node=node, reason=reason)
+            else:
+                self._log("migrate",
+                          prefix + f"replacement node {replacement} granted",
+                          job=job.name, node=node, replacement=replacement,
+                          reason=reason)
+        elif kind == "submit":
+            self._log("submit", f"{job.name} (priority {job.spec.priority})",
+                      job=job.name)
+        elif kind == "reject":
+            alive = data[0]
+            reason = (f"needs {job.spec.n_learners} nodes, {alive} alive"
+                      if job.spec.n_learners > alive
+                      else f"queue full ({self.max_queued})")
+            self._log("reject", f"{job.name}: {reason}", job=job.name)
+        elif kind == "finish":
+            t = job.telemetry
+            self._log(
+                "finish",
+                f"{job.name} after {t.steps} steps ({t.retries} retries, "
+                f"{len(job.shrink_log)} shrinks, {len(job.grow_log)} grows)",
                 job=job.name,
             )
+        elif kind == "requeue":
+            self._log("requeue", f"{job.name} (preempted, checkpoint saved)",
+                      job=job.name)
+        elif kind == "lost":
+            self._lost(job)
+        else:  # pragma: no cover - the core emits no other kinds
+            raise ValueError(f"unknown control effect {kind!r}")
+
+    def _node_effect(self, kind: object, node: int, *data: Any) -> None:
+        rack = self.cluster.rack_of(node)
+        if kind == "node-kill":
+            parts = [
+                f"job {name} grant revoked (not yet joined)" if slot is None
+                else f"job {name} slot {slot} "
+                f"(learner {self.jobs[name].learner_id(slot)})"
+                for name, slot in data[0]
+            ]
+            detail = "; ".join(parts) if parts else "no hosted jobs"
+            self._log("node-kill", f"node {node} (rack {rack}) died: {detail}",
+                      node=node, jobs=[name for name, _ in data[0]])
+        elif kind == "revive":
+            self._log("revive", f"node {node} (rack {rack}) back in service "
+                      f"({self.cluster.nodes[node].slots} slots)", node=node)
+        elif kind == "drain":
+            self._log("drain", f"node {node} (rack {rack}) draining: {data[0]}",
+                      node=node, reason=data[0])
+        elif kind == "undrain":
+            self._log("undrain", f"node {node} restored to service", node=node)
+        else:  # pragma: no cover - the core emits no other kinds
+            raise ValueError(f"unknown control effect {kind!r}")
+
+    def _lost(self, job: FleetJob) -> None:
+        """A dead program's slots are back: log why, and for a total loss
+        arm the bounded exponential backoff (jitter from the sim RNG)."""
+        exc = job.error
+        now = self.cluster.engine.now
+        if not isinstance(exc, JobLost):
+            job.telemetry.finished = now
+            self._log("job-failed", f"{job.name}: {exc!r}", job=job.name)
             return
-        base = self.requeue_base * (2 ** (job.telemetry.requeues - 1))
-        jitter = rng_for(
-            self.seed, "requeue", job.name, job.telemetry.requeues
-        ).uniform(0.5, 1.5)
-        delay = base * jitter
-        self._log(
-            "requeue",
-            f"{job.name} in {delay:.4f}s "
-            f"(attempt {job.telemetry.requeues})",
-            job=job.name, delay=delay,
+        self._log("job-lost", str(exc), job=job.name)
+        if job.status == "failed":
+            job.telemetry.finished = now
+            self._log("job-failed", f"{job.name}: requeue budget exhausted "
+                      f"({self.max_requeues})", job=job.name)
+            return
+        base = self.requeue_base * (2 ** (job.requeues - 1))
+        jitter = rng_for(self.seed, "requeue", job.name, job.requeues).uniform(
+            0.5, 1.5
         )
-        job.status = "backoff"
+        delay = base * jitter
+        self._log("requeue", f"{job.name} in {delay:.4f}s "
+                  f"(attempt {job.requeues})", job=job.name, delay=delay)
         self.spawn(self._delayed_enqueue(job, delay), name=f"requeue:{job.name}")
 
     def _delayed_enqueue(self, job: FleetJob, delay: float) -> Iterator[Event]:
         yield self.cluster.engine.timeout(delay)
-        self._enqueue(job)
-        self._kick()
+        job.mark_enqueued(self.cluster.engine.now)
+        self.apply(control.requeue, job)
+
+    # -- fault domains and job callbacks ------------------------------------
+    def kill_node(self, node_index: int) -> None:
+        """Kill a node: correlated ``RankFailure`` into every hosted job.
+
+        A slot merely *granted* on the node (a grow not yet joined) is
+        revoked on the spot.  A live slot's death is recorded in the
+        job's ``dead_nodes`` so the pending-victim scan keys on the
+        recorded death even if the node later revives (flap-safety).
+        """
+        self.apply(control.kill, node_index)
+
+    def revive_node(self, node_index: int) -> None:
+        """Bring a dead node back into service and re-run placement."""
+        self.apply(control.revive, node_index)
+
+    def drain_node(self, node_index: int, reason: str) -> None:
+        """Proactively migrate learners off a degraded-but-alive node."""
+        self.apply(control.drain, node_index, reason)
+
+    def undrain_node(self, node_index: int) -> None:
+        """Restore a drained (but alive) node to placement service."""
+        self.apply(control.undrain, node_index)
+
+    def on_job_error(self, job: FleetJob, exc: Exception) -> None:
+        """A job's program died: requeue a total loss, fail anything else."""
+        job.teardown()
+        job.error = exc
+        budget = self.max_requeues if isinstance(exc, JobLost) else None
+        self.apply(control.lose, job, budget)
 
     # -- reporting -----------------------------------------------------------
     def _log(self, kind: str, text: str, **data: object) -> None:
@@ -634,7 +443,7 @@ class FleetScheduler:
                     queue_wait=t.queue_wait,
                     steps=t.steps,
                     retries=t.retries,
-                    requeues=t.requeues,
+                    requeues=job.requeues,
                     preemptions=t.preemptions,
                     shrinks=tuple(job.shrink_log),
                     grows=tuple(job.grow_log),

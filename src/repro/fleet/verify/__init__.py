@@ -2,8 +2,9 @@
 
 An explicit-state explorer over abstract control-plane events (arrival,
 iteration boundaries, kills, revives, drains, SDC strikes, preemption,
-grow grants), sharing the runtime scheduler's *decision* code through
-:mod:`repro.fleet.policy` and mirroring its plumbing line-for-line.
+grow grants) that runs the runtime scheduler's own control core,
+:mod:`repro.fleet.control`, and through it the shared decisions of
+:mod:`repro.fleet.policy`.
 Eight invariants — the slot ledger, grant lifecycle, gang atomicity,
 lineage replayability, drain hygiene and requeue budgets — are checked
 at every reachable state up to a configurable bound; breaches come back
@@ -17,21 +18,21 @@ Entry points: ``repro verify --fleet`` on the CLI,
 code.
 """
 
+from repro.fleet.control import Violation
 from repro.fleet.verify.explore import (
+    Bounds,
     Counterexample,
+    Event,
     FleetVerifyResult,
+    ModelJobSpec,
+    apply_event,
+    enabled_events,
+    initial_state,
     smoke_bounds,
     sweep_bounds,
     verify_fleet,
 )
 from repro.fleet.verify.invariants import INVARIANTS, check_invariants
-from repro.fleet.verify.model import (
-    Bounds,
-    Event,
-    apply_event,
-    enabled_events,
-    initial_state,
-)
 from repro.fleet.verify.mutate import (
     FLEET_MUTANTS,
     FleetMutant,
@@ -41,7 +42,6 @@ from repro.fleet.verify.mutate import (
     run_fleet_mutation_suite,
 )
 from repro.fleet.verify.replay import ReplayResult, replay_trace, trace_specs
-from repro.fleet.verify.state import ModelJobSpec, ModelState, Violation
 
 __all__ = [
     "Bounds",
@@ -54,7 +54,6 @@ __all__ = [
     "FleetVerifyResult",
     "INVARIANTS",
     "ModelJobSpec",
-    "ModelState",
     "ReplayResult",
     "Violation",
     "apply_event",

@@ -1,12 +1,13 @@
 """The eight fleet control-plane invariants the checker proves.
 
-Each invariant is a pure predicate over one :class:`ModelState`; the
-explorer evaluates all of them at every reachable state and reports the
-first breach with the event trace that produced it.  Two kinds of checks
-feed the verdict:
+Each invariant is a pure predicate over one
+:class:`~repro.fleet.control.ControlState` — the checker's explored
+states and the runtime scheduler's live one alike (the replay audit,
+:mod:`repro.fleet.verify.replay`, checks the latter).  Two kinds of
+checks feed the verdict:
 
-* **operation-time** violations the model records while applying a
-  transition (``_allocate`` on a dead node, releasing an unheld slot,
+* **operation-time** violations the control core records while applying
+  a transition (an allocation on a dead node, releasing an unheld slot,
   closing an unknown grant) — these live in ``state.violations``;
 * **state-level** checks below, evaluated on the resulting state.
 
@@ -14,7 +15,7 @@ The invariant names (stable identifiers, used by the mutation suite and
 the CLI output):
 
 ``slot-conservation``
-    Every held slot in the cluster ledger is owned by exactly one live
+    Every held slot in the ledger is owned by exactly one live
     placement entry or pending grant — ``SharedCluster.
     leaked_placements()`` stays empty at every state, not just at the
     end of a run.
@@ -44,9 +45,13 @@ the CLI output):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro.fleet.control import ControlState, Job, Violation
 from repro.fleet.jobs import validate_scripted_lineage
-from repro.fleet.verify.model import Bounds
-from repro.fleet.verify.state import ModelJob, ModelState, Violation
+
+if TYPE_CHECKING:  # circular at runtime: the explorer imports this module
+    from repro.fleet.verify.explore import Bounds
 
 __all__ = ["INVARIANTS", "check_invariants"]
 
@@ -63,7 +68,7 @@ INVARIANTS = (
 )
 
 
-def check_invariants(state: ModelState, bounds: Bounds) -> list[Violation]:
+def check_invariants(state: ControlState, bounds: Bounds) -> list[Violation]:
     """Every invariant breach visible in ``state`` (op-time + state-level)."""
     found = list(state.violations)
     _check_ledger(state, found)
@@ -74,11 +79,11 @@ def check_invariants(state: ModelState, bounds: Bounds) -> list[Violation]:
 
 
 def _check_jobs(
-    state: ModelState, bounds: Bounds, found: list[Violation]
+    state: ControlState, bounds: Bounds, found: list[Violation]
 ) -> None:
     """One pass over the jobs: grants, gangs, lineage, requeue budget
     (separate loops would each re-traverse 400k+ states)."""
-    for job in state.jobs:
+    for job in state.jobs.values():
         _check_job_grants(state, job, found)
         _check_job_gang(job, found)
         _check_job_lineage(job, bounds, found)
@@ -90,10 +95,10 @@ def _check_jobs(
             ))
 
 
-def _check_ledger(state: ModelState, found: list[Violation]) -> None:
+def _check_ledger(state: ControlState, found: list[Violation]) -> None:
     """slot-conservation + no-double-grant: the ledger matches the owners."""
     owned: dict[int, dict[str, int]] = {}
-    for job in state.jobs:
+    for job in state.jobs.values():
         for node_index in job.placement:
             per_node = owned.setdefault(node_index, {})
             per_node[job.name] = per_node.get(job.name, 0) + 1
@@ -118,7 +123,7 @@ def _check_ledger(state: ModelState, found: list[Violation]) -> None:
 
 
 def _check_job_grants(
-    state: ModelState, job: ModelJob, found: list[Violation]
+    state: ControlState, job: Job, found: list[Violation]
 ) -> None:
     """no-dead-grants: pending grants only ever name live nodes."""
     for node_index in job.pending_grows:
@@ -130,7 +135,7 @@ def _check_job_grants(
             ))
 
 
-def _check_job_gang(job: ModelJob, found: list[Violation]) -> None:
+def _check_job_gang(job: Job, found: list[Violation]) -> None:
     holds = job.n_live + len(job.pending_grows)
     if job.status in ("running", "checkpointing"):
         if job.n_live < 1:
@@ -152,12 +157,12 @@ def _check_job_gang(job: ModelJob, found: list[Violation]) -> None:
             ))
         # Migration replacements may transiently overshoot the target
         # (the drained slot leaves only at the next boundary).
-        limit = job.spec.target + len(job.pending_migrations)
+        limit = job.target + len(job.pending_migrations)
         if holds > limit:
             found.append(Violation(
                 "gang-atomicity",
                 f"{job.name!r} holds {holds} slots "
-                f"(target {job.spec.target}, "
+                f"(target {job.target}, "
                 f"{len(job.pending_migrations)} migrating)",
             ))
     elif holds > 0:
@@ -168,8 +173,8 @@ def _check_job_gang(job: ModelJob, found: list[Violation]) -> None:
         ))
 
 
-def _check_closure(state: ModelState, found: list[Violation]) -> None:
-    pending = sum(len(job.pending_grows) for job in state.jobs)
+def _check_closure(state: ControlState, found: list[Violation]) -> None:
+    pending = sum(len(job.pending_grows) for job in state.jobs.values())
     if state.grants_opened != state.grants_closed + pending:
         found.append(Violation(
             "grant-closure",
@@ -179,7 +184,7 @@ def _check_closure(state: ModelState, found: list[Violation]) -> None:
         ))
 
 
-def _check_drained_sdc(state: ModelState, found: list[Violation]) -> None:
+def _check_drained_sdc(state: ControlState, found: list[Violation]) -> None:
     for node in state.nodes:
         if node.draining and node.sdc > 0:
             found.append(Violation(
@@ -190,22 +195,22 @@ def _check_drained_sdc(state: ModelState, found: list[Violation]) -> None:
 
 
 def _check_job_lineage(
-    job: ModelJob, bounds: Bounds, found: list[Violation]
+    job: Job, bounds: Bounds, found: list[Violation]
 ) -> None:
     """lineage-valid: the logs script a replayable fault-free reference."""
     if job.status not in ("running", "checkpointing"):
         return
     if not job.shrink_log and not job.grow_log:
-        if job.n_live != job.spec.target:
+        if job.n_live != job.target:
             found.append(Violation(
                 "lineage-valid",
                 f"{job.name!r}: empty lineage but {job.n_live} "
-                f"learners live of target {job.spec.target}",
+                f"learners live of target {job.target}",
             ))
         return
     try:
         validate_scripted_lineage(
-            job.spec.target,
+            job.target,
             bounds.max_steps + 1,
             job.shrink_log,
             job.grow_log,
@@ -216,7 +221,7 @@ def _check_job_lineage(
         ))
         return
     replayed = (
-        job.spec.target - len(job.shrink_log) + len(job.grow_log)
+        job.target - len(job.shrink_log) + len(job.grow_log)
     )
     if replayed != job.n_live:
         found.append(Violation(

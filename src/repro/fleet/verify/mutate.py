@@ -2,15 +2,13 @@
 
 Each mutant re-introduces one small, realistic scheduler bug — placing a
 gang on a draining node, granting growth from the drained set, leaving a
-grow grant dangling on a killed node, freeing a slot twice, committing
-the preemption checkpoint *after* releasing the gang, forgetting to
-clear a drained node's SDC ledger, and so on.  Policy mutants are
-patched into every namespace that binds the shared function —
-:mod:`repro.fleet.policy`, the checker's :mod:`~repro.fleet.verify.model`
-*and* the runtime :mod:`~repro.fleet.scheduler` — so one mutation is
-visible to both consumers of the pure-policy seam; plumbing mutants
-patch the checker's line-for-line mirror of the runtime entry point they
-break.
+grow grant dangling on a killed node, freeing a slot twice, requeueing a
+preemption victim before its gang is released, forgetting to clear a
+drained node's SDC ledger, and so on.  Policy mutants are patched into
+:mod:`repro.fleet.policy` and into :mod:`repro.fleet.control`, which
+binds the policy functions by name; plumbing mutants replace a
+transition of :mod:`repro.fleet.control`.  The runtime scheduler and the
+checker both call that one core, so every mutant is visible to both.
 
 Every mutant is then hunted **statically**: :func:`verify_fleet` is run
 over a bound known to exercise the mutated seam, and the mutant counts
@@ -23,7 +21,7 @@ set or the bounds, not a flaky test.
 Hunt bounds are deliberately small (one or two jobs where the seam
 allows it): mutation testing needs *a* counterexample, and a tight
 workload finds it in milliseconds instead of re-exploring the full CI
-smoke bound per mutant.  The unmutated model must prove clean under
+smoke bound per mutant.  The unmutated core must prove clean under
 every hunt bound — :func:`clean_hunt_bounds` enumerates them for the
 baseline test — so a kill is attributable to the mutation alone.
 """
@@ -31,20 +29,21 @@ baseline test — so a kill is attributable to the mutation alone.
 from __future__ import annotations
 
 import contextlib
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.fleet import policy, scheduler as _runtime
+from repro.fleet import control, policy
+from repro.fleet.control import ControlState, Job
 from repro.fleet.policy import ACTIVE_STATUSES, FleetState, JobView
-from repro.fleet.verify import model
 from repro.fleet.verify.explore import (
+    Bounds,
     FleetVerifyResult,
+    ModelJobSpec,
     smoke_bounds,
     verify_fleet,
 )
-from repro.fleet.verify.model import Bounds
-from repro.fleet.verify.state import ModelJob, ModelJobSpec, ModelState
 
 __all__ = [
     "FLEET_MUTANTS",
@@ -55,8 +54,9 @@ __all__ = [
     "run_fleet_mutation_suite",
 ]
 
-#: Modules where a shared policy name may be bound (import-by-name).
-_SEAMS = (policy, model, _runtime)
+#: Modules binding a patchable name: the policy, and the control core
+#: that the runtime scheduler and the checker both call.
+_SEAMS = (policy, control)
 
 #: Originals captured at import time for wrapping mutants.
 _ORIG_CHOOSE_PLACEMENT = policy.choose_placement
@@ -173,133 +173,90 @@ def _grow_past_target(job: JobView) -> bool:
     )
 
 
-# -- plumbing mutants (the checker's mirror of a runtime entry point) ---------
+# -- plumbing mutants (patched into the control core) -------------------------
 
-def _kill_keeps_grants(state: ModelState, node_index: int) -> None:
-    """``kill_node`` forgets to revoke unjoined grants on the dead node."""
+_ORIG_DRAIN = control.drain
+_ORIG_JOIN = control.join
+_ORIG_LOSE = control.lose
+_ORIG_START = control.start
+
+
+def _kill_keeps_grants(state: ControlState, node_index: int) -> None:
+    """``kill`` forgets to revoke unjoined grants on the dead node."""
     node = state.nodes[node_index]
     node.alive = False
-    state.kills += 1
     for job_name in sorted(node.held):
-        job = state.job(job_name)
-        if node_index in job.pending_grows:
-            continue  # BUG: the grant dangles on a dead node
-        job.dead_nodes = tuple(sorted((*job.dead_nodes, node_index)))
-    model._kick(state)
+        job = state.jobs[job_name]
+        if node_index in job.placement:  # BUG: a grant here dangles
+            job.dead_nodes |= {node_index}
+            state.emit("interrupt", job_name, job.placement.index(node_index))
+    control.kick(state)
 
 
-def _double_free_slot(state: ModelState, job: ModelJob, slot: int) -> None:
+def _double_free_slot(state: ControlState, job: Job, slot: int) -> None:
     """The slot-freed path fires twice for one dropped learner."""
     node_index = job.placement[slot]
     job.placement = job.placement[:slot] + job.placement[slot + 1:]
-    job.dead_nodes = tuple(n for n in job.dead_nodes if n != node_index)
-    job.pending_migrations = tuple(
-        n for n in job.pending_migrations if n != node_index
-    )
-    model._release(state, job.name, node_index)
-    model._release(state, job.name, node_index)  # BUG: freed twice
+    job.dead_nodes -= {node_index}
+    job.pending_migrations -= {node_index}
+    control.release(state, job.name, node_index)
+    control.release(state, job.name, node_index)  # BUG: freed twice
+    state.emit("release", job.name, node_index)
+    control.kick(state)
 
 
-def _preempt_release_before_checkpoint(
-    state: ModelState, job: ModelJob
-) -> None:
-    """Preemption releases the gang first — the checkpoint sees nothing."""
-    model._release_all(state, job)  # BUG: runs before the commit
-    model._commit_checkpoint(state, job)
+def _requeue_before_release(state: ControlState, job: Job) -> None:
+    """Preemption requeues the victim while it still holds its gang."""
     job.status = "preempted"
     job.preempt_pending = False
-    model._enqueue(state, job)
-    model._kick(state)
+    state.emit("requeue", job.name)
+    control.enqueue(state, job)  # BUG: before the release below
+    control.release_all(state, job)
+    control.kick(state)
 
 
-def _drain_keeps_sdc(state: ModelState, node_index: int) -> None:
-    """``drain_node`` forgets to clear the node's SDC strike ledger."""
-    node = state.nodes[node_index]
-    node.draining = True
-    state.drains += 1  # BUG: ``node.sdc`` never reset
-    for job_name in sorted(node.held):
-        job = state.job(job_name)
-        if (
-            job.status not in ("running", "checkpointing")
-            or node_index not in job.placement
-            or node_index in job.pending_migrations
-            or job.n_live <= 1
-        ):
-            continue
-        job.pending_migrations = tuple(
-            sorted((*job.pending_migrations, node_index))
-        )
-        snap = state.to_fleet_state()
-        replacement = model.pick_grow_node(snap, snap.job(job.name))
-        if replacement is not None:
-            model._open_grant(state, job, replacement)
-    model._kick(state)
+def _drain_keeps_sdc(state: ControlState, node_index: int, reason: str) -> None:
+    """``drain`` forgets to clear the node's SDC strike ledger."""
+    strikes = state.nodes[node_index].sdc
+    _ORIG_DRAIN(state, node_index, reason)
+    state.nodes[node_index].sdc = strikes  # BUG: strikes survive the drain
 
 
 def _start_uncharged(
-    state: ModelState, job: ModelJob, placed: tuple[int, ...]
+    state: ControlState, job: Job, placed: tuple[int, ...]
 ) -> None:
     """``start`` claims the gang without charging the shared ledger."""
-    job.placement = tuple(placed)  # BUG: ``_allocate`` never called
-    if job.saved is not None:
-        _needed, iteration, shrinks, grows = job.saved
-        job.iteration = iteration
-        job.shrink_log = shrinks
-        job.grow_log = grows
-    else:
-        job.iteration = 0
-        job.shrink_log = ()
-        job.grow_log = ()
-    job.shrunk_this_iter = False
-    job.status = "running"
+    _ORIG_START(state, job, placed)
+    for node_index in placed:  # BUG: net effect, the claim never charged
+        control.release(state, job.name, node_index)
 
 
 def _requeue_forever(
-    state: ModelState, job: ModelJob, bounds: Bounds
+    state: ControlState, job: Job, max_requeues: int | None
 ) -> None:
-    """JobLost requeues without ever consulting the budget."""
-    model._release_all(state, job)
-    job.requeues += 1  # BUG: over-budget check dropped
-    model._enqueue(state, job)
+    """A total loss requeues without ever consulting the budget."""
+    budget = None if max_requeues is None else sys.maxsize  # BUG
+    _ORIG_LOSE(state, job, budget)
 
 
-def _step_mislogs_grow(state: ModelState, job: ModelJob) -> None:
-    """Grant join records the wrong slot in the lineage grow log."""
-    job.iteration += 1
-    job.shrunk_this_iter = False
-    model._commit_checkpoint(state, job)
-    while job.pending_grows:
-        node_index = job.pending_grows[0]
-        if not state.nodes[node_index].alive:
-            model._close_grant(state, job, node_index, "revoke")
-            continue
-        model._close_grant(state, job, node_index, "join")
-        slot = job.n_live
-        job.placement += (node_index,)
-        job.grow_log += ((job.iteration, slot + 1),)  # BUG: off by one
-
-
-def _revoke_leaks_slot(
-    state: ModelState, job: ModelJob, node_index: int, how: str
+def _join_mislogs_slot(
+    state: ControlState, job: Job, node_index: int, iteration: int
 ) -> None:
+    """A grant join records the wrong slot in the lineage grow log."""
+    _ORIG_JOIN(state, job, node_index, iteration)
+    logged_at, slot = job.grow_log[-1]
+    job.grow_log = job.grow_log[:-1] + ((logged_at, slot + 1),)  # BUG: off by one
+
+
+def _revoke_leaks_slot(state: ControlState, job: Job, node_index: int) -> None:
     """Revocation drops the grant record but never returns the slot."""
-    if node_index not in job.pending_grows:
-        state.violate(
-            "grant-closure",
-            f"{how} of grant not held by {job.name!r} on node {node_index}",
-        )
-        return
-    i = job.pending_grows.index(node_index)
-    job.pending_grows = job.pending_grows[:i] + job.pending_grows[i + 1:]
-    state.grants_closed += 1
+    control.close_grant(state, job, node_index, "revoke")
     # BUG: the revoked slot is never released back to the ledger.
 
 
-def _grant_off_books(
-    state: ModelState, job: ModelJob, node_index: int
-) -> None:
+def _grant_off_books(state: ControlState, job: Job, node_index: int) -> None:
     """A grant is opened without entering the open/close audit trail."""
-    model._allocate(state, job.name, node_index)
+    control.allocate(state, job.name, node_index)
     job.pending_grows += (node_index,)
     # BUG: ``grants_opened`` never incremented.
 
@@ -379,7 +336,7 @@ def _requeue_bounds() -> Bounds:
 
 def clean_hunt_bounds() -> dict[str, Bounds]:
     """Every distinct bound the sweep hunts under, for the baseline
-    check that the *unmutated* model proves clean under each."""
+    check that the *unmutated* core proves clean under each."""
     return {
         "solo": _solo_bounds(),
         "pair": _pair_bounds(),
@@ -429,64 +386,64 @@ FLEET_MUTANTS: tuple[FleetMutant, ...] = (
         operator="skip-grant-revoke",
         description="kill_node leaves unjoined grants on the dead node",
         expected="no-dead-grants",
-        patches=(("_apply_kill", _kill_keeps_grants),),
+        patches=(("kill", _kill_keeps_grants),),
         bounds=_solo_bounds(),
     ),
     FleetMutant(
         operator="double-free-slot",
         description="dropping one learner frees its slot twice",
         expected="slot-conservation",
-        patches=(("_drop_slot", _double_free_slot),),
+        patches=(("drop_slot", _double_free_slot),),
         bounds=_solo_bounds(),
     ),
     FleetMutant(
-        operator="reorder-preempt-checkpoint",
-        description="preemption releases the gang before the checkpoint "
-                    "commit, saving an empty restart gang",
-        expected="gang-atomicity",
-        patches=(("_apply_preempt_yield", _preempt_release_before_checkpoint),),
+        operator="requeue-before-release",
+        description="preemption requeues the victim before releasing its "
+                    "gang, so a mid-release kick can restart it",
+        expected="slot-conservation",
+        patches=(("preempt_yield", _requeue_before_release),),
         bounds=_preempt_bounds(),
     ),
     FleetMutant(
         operator="skip-sdc-clear-on-drain",
         description="drain_node forgets to clear the SDC strike ledger",
         expected="drain-clears-sdc",
-        patches=(("_apply_drain", _drain_keeps_sdc),),
+        patches=(("drain", _drain_keeps_sdc),),
         bounds=_solo_bounds(),
     ),
     FleetMutant(
         operator="start-uncharged",
         description="start claims a gang without charging the slot ledger",
         expected="slot-conservation",
-        patches=(("_start", _start_uncharged),),
+        patches=(("start", _start_uncharged),),
         bounds=_solo_bounds(),
     ),
     FleetMutant(
         operator="unbounded-requeue",
         description="JobLost requeues forever, ignoring the budget",
         expected="bounded-requeue",
-        patches=(("_requeue_from_loss", _requeue_forever),),
+        patches=(("lose", _requeue_forever),),
         bounds=_requeue_bounds(),
     ),
     FleetMutant(
         operator="mislog-grow-slot",
         description="grant join records the wrong slot in the grow log",
         expected="lineage-valid",
-        patches=(("_apply_step", _step_mislogs_grow),),
+        patches=(("join", _join_mislogs_slot),),
         bounds=_solo_bounds(),
     ),
     FleetMutant(
         operator="revoke-leaks-slot",
         description="grant revocation never releases the held slot",
         expected="slot-conservation",
-        patches=(("_close_grant", _revoke_leaks_slot),),
+        patches=(("revoke", _revoke_leaks_slot),),
         bounds=_solo_bounds(),
     ),
     FleetMutant(
         operator="grant-off-books",
         description="grants open without entering the closure audit trail",
         expected="grant-closure",
-        patches=(("_open_grant", _grant_off_books),),
+        patches=(("grant", _grant_off_books),),
         bounds=_solo_bounds(),
     ),
 )

@@ -11,21 +11,25 @@ on a real :class:`~repro.fleet.cluster.SharedCluster`.
 The real engine schedules in continuous time, so the replay reproduces
 the trace's *event order*, not its exact interleaving with collective
 internals; it is the bridge that turns an abstract counterexample into a
-runnable repro script.  The audit checks the runtime analogues of the
-checker's ledger invariants: no leaked placements, every job terminal,
-no node over capacity.
+runnable repro script.  The scheduler's control state is the very
+:class:`~repro.fleet.control.ControlState` the checker explores, so the
+audit evaluates the checker's eight invariants on it — after every node
+event the replay fires and once the fleet drains — plus any
+``SimulationError`` the run dies of.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
 
 from repro.fleet.cluster import SharedCluster
 from repro.fleet.jobs import JobSpec
 from repro.fleet.scheduler import FleetReport, FleetScheduler
-from repro.fleet.verify.model import Bounds, Event
+from repro.fleet.verify.explore import Bounds, Event
+from repro.fleet.verify.invariants import check_invariants
 from repro.sim.engine import Event as EngineEvent
+from repro.sim.engine import SimulationError
 
 __all__ = ["ReplayResult", "replay_trace", "trace_specs"]
 
@@ -50,7 +54,7 @@ class ReplayResult:
             lines.append("replay audit:")
             lines += [f"  FAIL {note}" for note in self.notes]
         else:
-            lines.append("replay audit: clean (ledger invariants hold)")
+            lines.append("replay audit: clean (all invariants hold)")
         return "\n".join(lines)
 
 
@@ -59,10 +63,11 @@ def trace_specs(bounds: Bounds, trace: tuple[Event, ...]) -> list[JobSpec]:
 
     Only jobs that arrive in the trace get a spec.  A job's ``n_steps``
     is the number of ``step`` events it completed before its ``finish``
-    (the model finishes a job after any completed iteration); a job still
+    (the checker finishes a job after any completed iteration); a job still
     running when the trace ends gets one extra step so the replay keeps
     it alive through the full event sequence.  ``sdc`` events become
-    scripted SDC injections at the iteration the trace fired them.
+    scripted SDC injections at the iteration the trace fired them (which
+    the job then runs, even past its ``finish``).
     """
     specs: list[JobSpec] = []
     for model_spec in bounds.jobs:
@@ -85,6 +90,9 @@ def trace_specs(bounds: Bounds, trace: tuple[Event, ...]) -> list[JobSpec]:
         if arrival_pos is None:
             continue
         n_steps = finish_steps if finish_steps is not None else steps_seen + 1
+        # An SDC fired after the last step is detected in the iteration
+        # after it, which the job must then run.
+        n_steps = max([n_steps] + [it + 1 for it, _slot, _b in sdc_faults])
         specs.append(JobSpec(
             name=name,
             n_learners=model_spec.target,
@@ -105,9 +113,11 @@ def trace_specs(bounds: Bounds, trace: tuple[Event, ...]) -> list[JobSpec]:
 
 
 def _chaos_driver(
-    scheduler: FleetScheduler, trace: tuple[Event, ...]
+    scheduler: FleetScheduler, trace: tuple[Event, ...],
+    audit: Callable[[str], None],
 ) -> Iterator[EngineEvent]:
-    """Fire the trace's node events in order, one spacing apart."""
+    """Fire the trace's node events in order, one spacing apart, and
+    audit the control state after each."""
     engine = scheduler.cluster.engine
     for pos, event in enumerate(trace):
         if event.kind not in ("kill", "revive", "drain", "undrain"):
@@ -124,6 +134,7 @@ def _chaos_driver(
             scheduler.drain_node(node, reason="verify-replay")
         else:
             scheduler.undrain_node(node)
+        audit(f"after {event}")
 
 
 def replay_trace(
@@ -144,21 +155,26 @@ def replay_trace(
         max_requeues=bounds.max_requeues,
         requeue_base=1e-3,
     )
+    # Lineage iterations run up to each replayed job's own n_steps.
+    audit_bounds = replace(
+        bounds, max_steps=max((s.n_steps for s in specs), default=1)
+    )
+    notes: list[str] = []
+
+    def audit(when: str) -> None:
+        for v in check_invariants(scheduler.control, audit_bounds):
+            note = f"{v.invariant}: {v.detail}"
+            if not any(n.endswith(note) for n in notes):
+                notes.append(f"{when}: {note}")
+
     if any(e.kind in ("kill", "revive", "drain", "undrain") for e in trace):
         scheduler.spawn(
-            _chaos_driver(scheduler, trace), name="verify-replay-chaos"
+            _chaos_driver(scheduler, trace, audit), name="verify-replay-chaos"
         )
-    report = scheduler.run()
-    notes: list[str] = []
-    if report.leaked:
-        notes.append(f"leaked placements: {report.leaked}")
-    for node in cluster.nodes:
-        if node.used > node.slots:
-            notes.append(
-                f"node {node.index} over capacity: "
-                f"{node.used}/{node.slots}"
-            )
-    for job in report.jobs:
-        if job.status not in ("finished", "failed", "rejected"):
-            notes.append(f"job {job.name} not terminal: {job.status}")
+    try:
+        report = scheduler.run()
+    except SimulationError as exc:
+        notes.append(f"simulation error: {exc}")
+        report = scheduler.report()
+    audit("at the end")
     return ReplayResult(report, notes)

@@ -191,6 +191,11 @@ class Process(Event):
         self._step(self._generator.send, value)
 
     def _throw(self, exc: BaseException) -> None:
+        if not self.is_alive:
+            # It finished first: interrupted from inside its own step, it
+            # returned without yielding again (or an earlier interrupt
+            # ended it).  There is nothing left to interrupt.
+            return
         self._detach()  # a wait begun since interrupt(), e.g. by the boot
         self._step(self._generator.throw, exc)
 

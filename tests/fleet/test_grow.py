@@ -78,7 +78,7 @@ def test_grow_back_after_revival_is_bit_exact():
     assert len(job.shrink_log) == 1
     assert len(job.grow_log) == 1
     assert job.telemetry.grows == 1
-    assert scheduler.jobs["short"].grow_log == []  # not elastic: untouched
+    assert scheduler.jobs["short"].grow_log == ()  # not elastic: untouched
     kinds = [e.kind for e in report.events]
     for wanted in ("node-kill", "revive", "grow-grant", "grow"):
         assert wanted in kinds
@@ -92,7 +92,7 @@ def test_no_grow_without_elastic_flag():
     report, scheduler = run_fleet([spec, filler], trigger=kill_then_revive())
     job = scheduler.jobs["long"]
     assert job.status == "finished"
-    assert job.grow_log == []
+    assert job.grow_log == ()
     assert not any(e.kind == "grow-grant" for e in report.events)
 
 
@@ -113,9 +113,9 @@ def test_granted_node_killed_before_join_is_revoked():
             yield cluster.engine.timeout(1e-4)
         scheduler.revive_node(node)
         # The revival's kick granted the freed slot back synchronously.
-        assert job.pending_grows == [node]
+        assert job.pending_grows == (node,)
         scheduler.kill_node(node)  # dies again before the boundary
-        assert job.pending_grows == []
+        assert job.pending_grows == ()
 
     report, scheduler = run_fleet([spec, filler], trigger=trigger)
     job = scheduler.jobs["long"]
@@ -167,7 +167,7 @@ def test_saved_lineage_roundtrip_empty_logs():
     ckpt, shrinks, grows = job.saved
     assert shrinks == () and grows == ()
     assert job.status == "finished"
-    assert job.shrink_log == [] and job.grow_log == []
+    assert job.shrink_log == () and job.grow_log == ()
     ref = lineage_reference_params(victim, (), ())
     np.testing.assert_array_equal(job.final_params, ref)
 

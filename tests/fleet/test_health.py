@@ -17,7 +17,9 @@ from repro.fleet import (
     HealthPolicy,
     JobSpec,
     SharedCluster,
+    control,
 )
+from repro.fleet.control import ControlState, Job
 from repro.train.faults import DrainPolicy, NodeHealthSignal
 from repro.train.injection import FaultPlan, sdc_flip
 from repro.train.tiny import build_tiny_trainer
@@ -193,25 +195,34 @@ def test_undrained_node_is_re_drained_on_fresh_strikes():
 # -- the SDC ledger -----------------------------------------------------------
 
 def test_cluster_sdc_ledger_counts_and_clears():
+    # The ledger lives on the cluster's nodes; the control core's SDC
+    # transition books each strike on the quarantined learner's node.
     cluster = SharedCluster(**TIGHT)
-    assert cluster.sdc_count(1) == 0
-    assert cluster.record_sdc(1) == 1
-    assert cluster.record_sdc(1) == 2
-    assert cluster.record_sdc(2) == 1
-    assert cluster.sdc_count(1) == 2
-    cluster.clear_sdc(1)
-    assert cluster.sdc_count(1) == 0
-    assert cluster.sdc_count(2) == 1  # other nodes keep their strikes
-    assert cluster.record_sdc(1) == 1  # re-strikes accumulate from zero
+    jobs = {name: Job(name, 0, 2, False, "requeue") for name in "abc"}
+    state = ControlState("pack", cluster.nodes, jobs)
+    control.start(state, jobs["a"], (0, 1))
+    control.start(state, jobs["b"], (2, 3))
+    assert cluster.nodes[1].sdc == 0
+    control.sdc(state, jobs["a"], 1, 0, "flip")  # node 1
+    control.sdc(state, jobs["b"], 0, 0, "flip")  # node 2
+    control.start(state, jobs["c"], (1,))
+    control.sdc(state, jobs["c"], 0, 1, "flip")  # node 1 again
+    assert [n.sdc for n in cluster.nodes] == [0, 2, 1, 0]
+    control.drain(state, 1, "silent data corruption (test)")
+    assert [n.sdc for n in cluster.nodes] == [0, 0, 1, 0]  # others keep theirs
+    control.undrain(state, 1)
+    control.start(state, jobs["c"], (1,))
+    control.sdc(state, jobs["c"], 0, 2, "flip")
+    assert cluster.nodes[1].sdc == 1  # re-strikes accumulate from zero
+    assert not state.violations
 
 
 def test_drain_node_clears_sdc_strikes():
     cluster = SharedCluster(**TIGHT)
     scheduler = FleetScheduler(cluster, [])
-    cluster.record_sdc(0)
-    cluster.record_sdc(0)
+    cluster.nodes[0].sdc = 2
     scheduler.drain_node(0, "silent data corruption (test)")
-    assert cluster.sdc_count(0) == 0
+    assert cluster.nodes[0].sdc == 0
     assert 0 in scheduler.draining
 
 

@@ -1,18 +1,21 @@
 """Ledger audit error paths: leaks, torn grants, unreplayable lineages.
 
 The model checker proves these can't happen under the real scheduler's
-policies; these tests prove the *auditors themselves* catch each failure
-shape when it is constructed by hand.
+policies; these tests prove the *auditors themselves* — the control
+core's ledger checks, the cluster's leak report and the state-level
+invariants — catch each failure shape when it is constructed by hand.
 """
 
 import pytest
 
+from repro.fleet import control
 from repro.fleet.cluster import SharedCluster
+from repro.fleet.control import ControlState, Job
 from repro.fleet.jobs import validate_scripted_lineage
-from repro.fleet.verify import Bounds, ModelJobSpec, check_invariants
-from repro.fleet.verify.model import (
-    _close_grant,
-    _open_grant,
+from repro.fleet.verify import (
+    Bounds,
+    ModelJobSpec,
+    check_invariants,
     initial_state,
 )
 from repro.sim.engine import SimulationError
@@ -26,62 +29,76 @@ def small_bounds():
     )
 
 
-# -- SharedCluster.leaked_placements -----------------------------------------
+# -- the slot ledger (the runtime's strict control state) ---------------------
+
+def strict_ledger(**cluster_kw):
+    """A cluster plus the strict control state a scheduler keeps over it."""
+    cluster = SharedCluster(**cluster_kw)
+    jobs = {name: Job(name, 0, 1, False, "requeue") for name in "ab"}
+    state = ControlState(
+        "pack", cluster.nodes, jobs, strict=True, on_ledger=cluster.account
+    )
+    return cluster, state
+
 
 def test_leaked_placements_empty_on_balanced_ledger():
-    cluster = SharedCluster(n_racks=1, nodes_per_rack=2, slots_per_node=1)
-    cluster.allocate("a", 0)
-    cluster.release("a", 0)
+    cluster, state = strict_ledger(n_racks=1, nodes_per_rack=2, slots_per_node=1)
+    control.allocate(state, "a", 0)
+    control.release(state, "a", 0)
     assert cluster.leaked_placements() == []
 
 
 def test_leaked_placements_reports_every_held_slot():
-    cluster = SharedCluster(n_racks=1, nodes_per_rack=2, slots_per_node=2)
-    cluster.allocate("a", 0)
-    cluster.allocate("a", 0)
-    cluster.allocate("b", 1)
+    cluster, state = strict_ledger(n_racks=1, nodes_per_rack=2, slots_per_node=2)
+    control.allocate(state, "a", 0)
+    control.allocate(state, "a", 0)
+    control.allocate(state, "b", 1)
     assert cluster.leaked_placements() == [(0, "a", 2), (1, "b", 1)]
-    cluster.release("a", 0)
+    control.release(state, "a", 0)
     assert cluster.leaked_placements() == [(0, "a", 1), (1, "b", 1)]
 
 
 def test_leaked_placements_surfaces_torn_grant_across_kill():
-    # A slot granted, its node killed, never revoked nor absorbed: the
+    # A slot allocated, its node killed, never revoked nor absorbed: the
     # audit must still name it — death does not forgive a held slot.
-    cluster = SharedCluster(n_racks=1, nodes_per_rack=2, slots_per_node=1)
-    cluster.allocate("a", 1)
-    torn = cluster.kill_node(1)
-    assert torn == [("a", 1)]  # kill reports who was holding
+    cluster, state = strict_ledger(n_racks=1, nodes_per_rack=2, slots_per_node=1)
+    control.allocate(state, "a", 1)
+    control.kill(state, 1)
+    assert cluster.nodes[1].held == {"a": 1}  # kill keeps the allocation
     assert cluster.leaked_placements() == [(1, "a", 1)]
-    cluster.revive_node(1)
+    control.revive(state, 1)
     assert cluster.leaked_placements() == [(1, "a", 1)]  # flap keeps it
-    cluster.release("a", 1)
+    control.release(state, "a", 1)
     assert cluster.leaked_placements() == []
 
 
 def test_ledger_rejects_double_release_and_dead_allocate():
-    cluster = SharedCluster(n_racks=1, nodes_per_rack=2, slots_per_node=1)
-    cluster.allocate("a", 0)
-    cluster.release("a", 0)
+    _cluster, state = strict_ledger(n_racks=1, nodes_per_rack=2, slots_per_node=1)
+    control.allocate(state, "a", 0)
+    control.release(state, "a", 0)
     with pytest.raises(SimulationError, match="unheld slot"):
-        cluster.release("a", 0)
-    cluster.kill_node(1)
+        control.release(state, "a", 0)
+    control.kill(state, 1)
     with pytest.raises(SimulationError, match="dead node"):
-        cluster.allocate("a", 1)
+        control.allocate(state, "a", 1)
+    # The strict (runtime) ledger raises *and* records, like the checker's.
+    assert [v.invariant for v in state.violations] == [
+        "slot-conservation", "no-dead-grants",
+    ]
 
 
-# -- model grant lifecycle ----------------------------------------------------
+# -- grant lifecycle ----------------------------------------------------------
 
 def test_model_revoke_after_join_is_a_closure_violation():
     # Join consumes the grant; a second close (the revocation racing the
     # join) must be flagged, not silently double-counted.
     bounds = small_bounds()
     state = initial_state(bounds)
-    job = state.job("a")
-    _open_grant(state, job, 0)
-    _close_grant(state, job, 0, "join")
+    job = state.jobs["a"]
+    control.grant(state, job, 0)
+    control.close_grant(state, job, 0, "join")
     assert not state.violations
-    _close_grant(state, job, 0, "revoke")
+    control.close_grant(state, job, 0, "revoke")
     assert any(
         v.invariant == "grant-closure" and "not held" in v.detail
         for v in state.violations
@@ -93,9 +110,9 @@ def test_model_torn_grant_is_a_dead_grant_violation():
     # names the dangling grant.
     bounds = small_bounds()
     state = initial_state(bounds)
-    job = state.job("a")
+    job = state.jobs["a"]
     job.status = "running"
-    _open_grant(state, job, 1)
+    control.grant(state, job, 1)
     state.nodes[1].alive = False
     breaches = check_invariants(state, bounds)
     assert any(

@@ -181,7 +181,7 @@ def test_total_loss_requeues_from_checkpoint_with_seeded_backoff():
     report, scheduler = run_fleet([spec], trigger=kill_all_job_nodes("solo"))
     job = scheduler.jobs["solo"]
     assert job.status == "finished"
-    assert job.telemetry.requeues == 1
+    assert job.requeues == 1
     assert job.final_iteration == 6
     requeue = next(
         e for e in report.events if e.kind == "requeue" and "delay" in e.data
@@ -266,3 +266,37 @@ def test_jobspec_carries_one_validated_retry_policy():
     custom = JobSpec(name="job1", retry=RetryPolicy(2.0, 1, 0.1))
     report, _scheduler = run_fleet([custom])
     assert report.all_terminal
+
+
+@pytest.mark.parametrize("overrides, match", [
+    (dict(arrival=float("nan")), "arrival"),
+    (dict(arrival=-1.0), "arrival"),
+    (dict(compute_time=-1.0), "compute_time"),
+    (dict(compute_time=float("nan")), "compute_time"),
+    (dict(compute_time=float("inf")), "compute_time"),
+    (dict(checkpoint_time=-1.0), "checkpoint_time"),
+    (dict(checkpoint_time=float("nan")), "checkpoint_time"),
+    (dict(checkpoint_every=-2), "checkpoint_every"),
+])
+def test_jobspec_rejects_bad_times_and_periods(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        JobSpec(name="job0", **overrides)
+
+
+@pytest.mark.parametrize("overrides, match", [
+    (dict(max_requeues=-1), "max_requeues"),
+    (dict(requeue_base=-1.0), "requeue_base"),
+    (dict(requeue_base=float("nan")), "requeue_base"),
+    (dict(requeue_base=float("inf")), "requeue_base"),
+    (dict(max_queued=-1), "max_queued"),
+])
+def test_scheduler_rejects_bad_requeue_and_queue_limits(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        FleetScheduler(SharedCluster(), [JobSpec(name="job0")], **overrides)
+
+
+def test_zero_limits_and_times_are_accepted():
+    spec = JobSpec(name="job0", arrival=0.0, checkpoint_time=0.0,
+                   checkpoint_every=0)
+    FleetScheduler(SharedCluster(), [spec], max_requeues=0,
+                   requeue_base=0.0, max_queued=0)

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.fleet import control
 from repro.fleet.verify import (
     Bounds,
     INVARIANTS,
+    Event,
     ModelJobSpec,
     apply_event,
     check_invariants,
@@ -17,7 +19,6 @@ from repro.fleet.verify import (
     sweep_bounds,
     verify_fleet,
 )
-from repro.fleet.verify.model import Event
 
 
 def tiny_bounds(**overrides):
@@ -48,13 +49,14 @@ def tiny_bounds(**overrides):
 def scripted(bounds, events):
     """Apply a fixed event sequence, asserting each event is enabled."""
     state = initial_state(bounds)
+    spent = (0, 0, 0, 0, 0)
     trace = []
     for event in events:
-        assert event in enabled_events(state, bounds), (
-            f"{event} not enabled; enabled: "
-            f"{[str(e) for e in enabled_events(state, bounds)]}"
+        enabled = enabled_events(state, bounds, spent)
+        assert event in enabled, (
+            f"{event} not enabled; enabled: {[str(e) for e in enabled]}"
         )
-        state = apply_event(state, event, bounds)
+        state, spent = apply_event(state, event, bounds, spent)
         trace.append(event)
     return state, tuple(trace)
 
@@ -104,7 +106,7 @@ def test_counterexample_is_minimal_and_replayable():
     # counterexample must format a numbered trace and carry the state.
     bounds = tiny_bounds()
     state, trace = scripted(bounds, [Event("arrive", job="a")])
-    job = state.job("a")
+    job = state.jobs["a"]
     job.placement += (job.placement[0],)  # duplicate learner on one node
     breaches = check_invariants(state, bounds)
     assert breaches, "hand-seeded duplicate placement must breach"
@@ -115,8 +117,6 @@ def test_counterexample_is_minimal_and_replayable():
 def test_explorer_finds_shortest_trace_to_seeded_policy_bug(monkeypatch):
     # Grow off-by-one (a real mutant from the battery): BFS must return
     # the 1-event trace — arrival alone over-grants — not a longer one.
-    from repro.fleet.verify import model as model_mod
-
     def grow_past_target(job):
         return (
             job.elastic_grow
@@ -126,7 +126,7 @@ def test_explorer_finds_shortest_trace_to_seeded_policy_bug(monkeypatch):
             and job.n_live + len(job.pending_grows) <= job.target
         )
 
-    monkeypatch.setattr(model_mod, "wants_grow", grow_past_target)
+    monkeypatch.setattr(control, "wants_grow", grow_past_target)
     result = verify_fleet(tiny_bounds())
     assert not result.ok
     cex = result.counterexample

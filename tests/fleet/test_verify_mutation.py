@@ -1,15 +1,15 @@
 """Mutation self-test: every seeded control-plane bug dies statically."""
 
-from repro.fleet import policy
+from repro.fleet import control, policy
 from repro.fleet.verify import (
     FLEET_MUTANTS,
     clean_hunt_bounds,
+    replay_trace,
     run_fleet_mutation_suite,
     verify_fleet,
 )
-from repro.fleet.verify import model as model_mod
 from repro.fleet.verify.invariants import INVARIANTS
-from repro.fleet.verify.mutate import _patched
+from repro.fleet.verify.mutate import _patched, hunt
 
 
 def test_clean_model_proves_under_every_hunt_bound():
@@ -46,15 +46,27 @@ def test_killing_traces_are_short():
 
 
 def test_mutant_patching_reaches_every_seam_and_restores():
-    # Policy mutants must be visible to the runtime scheduler and the
-    # checker alike (import-by-name rebinding), and must be undone.
+    # Policy mutants are rebound wherever the name is bound — the policy
+    # module and the control core that the runtime scheduler and the
+    # checker both call — and undone afterwards.
     mutant = next(m for m in FLEET_MUTANTS if m.operator == "grow-overcommit")
     original = policy.wants_grow
-    assert model_mod.wants_grow is original
+    assert control.wants_grow is original
     with _patched(mutant):
         assert policy.wants_grow is not original
-        assert model_mod.wants_grow is policy.wants_grow
-        from repro.fleet import scheduler as runtime
-        assert runtime.wants_grow is policy.wants_grow
+        assert control.wants_grow is policy.wants_grow
     assert policy.wants_grow is original
-    assert model_mod.wants_grow is original
+    assert control.wants_grow is original
+    # Plumbing mutants patch that one core too, so each reaches the
+    # runtime: its killing trace, replayed through the real scheduler,
+    # fails the runtime audit (a breach, a leak or a SimulationError) —
+    # and passes it unmutated.
+    for operator in ("revoke-leaks-slot", "double-free-slot"):
+        mutant = next(m for m in FLEET_MUTANTS if m.operator == operator)
+        outcome = hunt(mutant)
+        assert outcome is not None and outcome.counterexample is not None
+        trace = outcome.counterexample.trace
+        with _patched(mutant):
+            replay = replay_trace(mutant.bounds, trace)
+        assert not replay.ok, f"{operator} never reached the runtime"
+        assert replay_trace(mutant.bounds, trace).ok

@@ -240,6 +240,36 @@ def test_interrupt_finished_process_rejected():
         p.interrupt()
 
 
+def test_interrupt_of_a_process_that_finishes_first_is_dropped():
+    # Interrupted from inside its own step, a process that then returns
+    # without yielding again is already finished when the interrupt is
+    # delivered; so is one an earlier interrupt ended.
+    eng = Engine()
+    procs = {}
+
+    def self_interrupting():
+        yield eng.timeout(1.0)
+        procs["self"].interrupt("late")
+        return "done"
+
+    def doubly_interrupted():
+        yield eng.timeout(100.0)
+
+    def killer():
+        yield eng.timeout(2.0)
+        procs["double"].interrupt("first")
+        procs["double"].interrupt("second")
+
+    procs["self"] = eng.process(self_interrupting())
+    procs["double"] = eng.process(doubly_interrupted())
+    procs["double"].defuse()
+    eng.process(killer())
+    eng.run()
+    assert procs["self"].value == "done"
+    assert isinstance(procs["double"].value, Interrupt)
+    assert procs["double"].value.cause == "first"
+
+
 def test_nested_process_wait():
     eng = Engine()
 
