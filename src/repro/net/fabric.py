@@ -124,7 +124,8 @@ class Fabric:
         self._bandwidth = [link.params.bandwidth for link in topology.links]
         n_links = len(self._bandwidth)
         # The kernel's fluid state, freed with the fabric; active flows by
-        # kernel slot; kernel ids of the paths seen so far.
+        # kernel slot; kernel ids of the paths seen so far, and each path's
+        # propagation latency by id.
         self._lib = lib = _maxmin.load()
         state = lib.mm_new(n_links, (ctypes.c_double * n_links)(*self._bandwidth), per_flow_cap)
         if not state:
@@ -133,6 +134,7 @@ class Fabric:
         self._finalizer = weakref.finalize(self, lib.mm_free, self._state)
         self._flows: dict[int, Flow] = {}
         self._path_ids: dict[tuple[int, ...], int] = {}
+        self._path_latency: list[float] = []
 
     # -- public API --------------------------------------------------------
     @property
@@ -159,10 +161,8 @@ class Fabric:
         """
         if not 0 <= nbytes < math.inf:
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
-        if src == dst:
-            self.topology.host(src)  # validates the rank; route() does otherwise
-        else:
-            path = self.topology.route(src, dst)
+        path = self.topology.route(src, dst)  # validates both ranks
+        if path:
             path_id = self._path_ids.get(path)
             if path_id is None:
                 path_id = self._add_path(path)
@@ -170,12 +170,12 @@ class Fabric:
         self.stats.transfers_started += 1
         fid = self._next_fid
         self._next_fid += 1
-        if src == dst:
+        if not path:
             duration = self.software_overhead + nbytes / self.loopback_bandwidth
             flow = Flow(fid, src, dst, (), float(nbytes), 0.0, ev)
             self.engine.call(self._hop, (duration, self._finish, flow))
             return ev
-        delay = self.software_overhead + self.topology.path_latency(path)
+        delay = self.software_overhead + self._path_latency[path_id]
         flow = Flow(fid, src, dst, path, float(nbytes), float(nbytes), ev)
         if nbytes <= _BYTES_EPS:
             self.engine.call(self._hop, (delay, self._finish, flow))
@@ -238,6 +238,7 @@ class Fabric:
         if path_id < 0:
             raise MemoryError("cannot grow the fabric's max-min state")
         self._path_ids[path] = path_id
+        self._path_latency.append(self.topology.path_latency(path))
         return path_id
 
     def _hop(self, call: tuple[float, Callable[[Any], None], Any]) -> None:

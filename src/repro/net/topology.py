@@ -7,13 +7,18 @@ InfiniBand).
 
 Routing is shortest-path with deterministic ECMP: among equal-cost next
 hops, the choice is keyed by a hash of ``(src, dst)`` — the standard
-switch behaviour the paper's multi-color trees are designed around.
+switch behaviour the paper's multi-color trees are designed around.  The
+equal-cost next hops towards a destination come from one reverse BFS,
+run the first time any pair routes to it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
+from typing import Any
 
 from repro.net.params import LinkParams, NetworkParams
 from repro.utils.rng import derive_seed
@@ -31,15 +36,42 @@ class Link:
     params: LinkParams
 
 
+def _derived() -> Any:
+    """A field built from ``links``: no ``__init__`` argument, left out of
+    ``==`` and ``repr``."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass
 class Topology:
-    """A directed graph of hosts and switches with capacitated links."""
+    """A directed graph of hosts and switches with capacitated links.
+
+    ``links[i].index`` must be ``i``.  The adjacency, the routing tables and
+    the route cache are derived from ``links`` by ``__init__`` and
+    :meth:`add_link`.
+    """
 
     name: str
     n_hosts: int
     links: list[Link] = field(default_factory=list)
-    _adjacency: dict[str, list[int]] = field(default_factory=dict)
-    _route_cache: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    # Derived from ``links``.  Out-link indices per vertex, in index order
+    # (``out_links``); in-links per vertex, the graph the routing BFS walks;
+    # per destination rank, every vertex that reaches it -> its out-links
+    # one hop closer, in ``out_links`` order; routes per host pair.
+    _adjacency: dict[str, list[int]] = _derived()
+    _reverse: dict[str, list[Link]] = _derived()
+    _next_hops: dict[int, dict[str, tuple[Link, ...]]] = _derived()
+    _route_cache: dict[tuple[int, int], tuple[int, ...]] = _derived()
+
+    def __post_init__(self) -> None:
+        self.links = list(self.links)
+        for position, link in enumerate(self.links):
+            if link.index != position:
+                raise ValueError(
+                    f"link {link.src} -> {link.dst} has index {link.index} "
+                    f"but sits at position {position} of links"
+                )
+            self._wire(link)
 
     def host(self, rank: int) -> str:
         """Vertex name of host ``rank``."""
@@ -49,11 +81,16 @@ class Topology:
 
     def add_link(self, src: str, dst: str, params: LinkParams) -> int:
         """Add one directed link; returns its index."""
-        idx = len(self.links)
-        self.links.append(Link(idx, src, dst, params))
-        self._adjacency.setdefault(src, []).append(idx)
+        link = Link(len(self.links), src, dst, params)
+        self.links.append(link)
+        self._wire(link)
+        self._next_hops.clear()
         self._route_cache.clear()
-        return idx
+        return link.index
+
+    def _wire(self, link: Link) -> None:
+        self._adjacency.setdefault(link.src, []).append(link.index)
+        self._reverse.setdefault(link.dst, []).append(link)
 
     def add_cable(self, a: str, b: str, params: LinkParams) -> tuple[int, int]:
         """Add a full-duplex cable (two directed links)."""
@@ -73,55 +110,62 @@ class Topology:
     def route(self, src: int, dst: int) -> tuple[int, ...]:
         """Link indices along the path from host ``src`` to host ``dst``.
 
-        The empty tuple denotes a loopback (``src == dst``).  Paths are
-        shortest by hop count with deterministic ECMP tie-breaking, and are
-        cached.
+        Both ranks are checked first, so an unknown rank raises
+        ``ValueError`` even as a loopback.  The empty tuple denotes a
+        loopback (``src == dst``).  Paths are shortest by hop count; among
+        the equal-cost next hops of a vertex, in ``out_links`` order, the
+        ECMP hash of ``(src, dst)``, the vertex and the hop number picks
+        one.  Paths are cached.
         """
-        if src == dst:
-            return ()
         key = (src, dst)
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        path = self._bfs_route(self.host(src), self.host(dst), ecmp_key=key)
-        self._route_cache[key] = path
-        return path
-
-    def _bfs_route(
-        self, src: str, dst: str, ecmp_key: tuple[int, int]
-    ) -> tuple[int, ...]:
-        # BFS computing hop distance from dst (reverse graph), then walk
-        # forward choosing among minimal-distance next hops by ECMP hash.
-        rev: dict[str, list[Link]] = {}
-        for link in self.links:
-            rev.setdefault(link.dst, []).append(link)
-        dist: dict[str, int] = {dst: 0}
-        queue = deque([dst])
-        while queue:
-            v = queue.popleft()
-            for link in rev.get(v, ()):
-                if link.src not in dist:
-                    dist[link.src] = dist[v] + 1
-                    queue.append(link.src)
-        if src not in dist:
-            raise ValueError(f"no route from {src} to {dst} in topology {self.name!r}")
+        vertex, target = self.host(src), self.host(dst)
+        if src == dst:
+            return ()
+        table = self._next_hops.get(dst)
+        if table is None:
+            table = self._next_hops[dst] = self._next_hops_to(target)
+        if vertex not in table:
+            raise ValueError(
+                f"no route from {vertex} to {target} in topology {self.name!r}"
+            )
         path: list[int] = []
-        vertex = src
         hop = 0
-        while vertex != dst:
-            candidates = [
-                link
-                for link in self.out_links(vertex)
-                if dist.get(link.dst, 1 << 30) == dist[vertex] - 1
-            ]
-            if not candidates:
-                raise ValueError(f"routing dead-end at {vertex} (topology bug)")
-            pick = derive_seed(0, ecmp_key, vertex, hop) % len(candidates)
-            chosen = candidates[pick]
+        while vertex != target:
+            candidates = table[vertex]
+            if len(candidates) == 1:
+                chosen = candidates[0]
+            else:
+                chosen = candidates[derive_seed(0, key, vertex, hop) % len(candidates)]
             path.append(chosen.index)
             vertex = chosen.dst
             hop += 1
-        return tuple(path)
+        route = self._route_cache[key] = tuple(path)
+        return route
+
+    def _next_hops_to(self, target: str) -> dict[str, tuple[Link, ...]]:
+        """One reverse BFS from ``target``: for every other vertex that
+        reaches it, the out-links that lead one hop closer."""
+        dist = {target: 0}
+        queue = deque([target])
+        while queue:
+            vertex = queue.popleft()
+            hops = dist[vertex] + 1
+            for link in self._reverse.get(vertex, ()):
+                if link.src not in dist:
+                    dist[link.src] = hops
+                    queue.append(link.src)
+        links = self.links
+        return {
+            vertex: tuple(
+                links[i] for i in self._adjacency[vertex]
+                if dist.get(links[i].dst) == hops - 1
+            )
+            for vertex, hops in dist.items()
+            if hops
+        }
 
     def with_scaled_links(self, vertex: str, factor: float) -> "Topology":
         """A copy with every link touching ``vertex`` scaled by ``factor``.
@@ -178,10 +222,14 @@ def fat_tree(
     """
     if n_hosts < 1:
         raise ValueError("need at least one host")
+    if isinstance(hosts_per_leaf, bool) or not isinstance(hosts_per_leaf, Integral):
+        raise ValueError(f"hosts_per_leaf must be an integer, got {hosts_per_leaf!r}")
     if hosts_per_leaf < 1:
-        raise ValueError("hosts_per_leaf must be >= 1")
-    if oversubscription < 1.0:
-        raise ValueError("oversubscription must be >= 1.0")
+        raise ValueError(f"hosts_per_leaf must be >= 1, got {hosts_per_leaf}")
+    if not 1.0 <= oversubscription < math.inf:
+        raise ValueError(
+            f"oversubscription must be finite and >= 1.0, got {oversubscription}"
+        )
     topo = Topology(name=name, n_hosts=n_hosts)
     n_leaves = (n_hosts + hosts_per_leaf - 1) // hosts_per_leaf
     n_spines = max(1, round(hosts_per_leaf / oversubscription))

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.net import LinkParams, NetworkParams, fat_tree, full_mesh, ring, star
+from repro.net.topology import Topology
 
 SIMPLE = NetworkParams(
     host_link=LinkParams(bandwidth=100.0, latency=1e-3),
@@ -97,6 +98,27 @@ def test_fat_tree_validation():
         fat_tree(8, SIMPLE, oversubscription=0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, parameter",
+    [
+        ({"hosts_per_leaf": 2.5}, "hosts_per_leaf"),
+        ({"hosts_per_leaf": 4.0}, "hosts_per_leaf"),
+        ({"hosts_per_leaf": True}, "hosts_per_leaf"),
+        ({"oversubscription": math.nan}, "oversubscription"),
+        ({"oversubscription": math.inf}, "oversubscription"),
+    ],
+)
+def test_fat_tree_rejects_bad_parameters(kwargs, parameter):
+    with pytest.raises(ValueError, match=parameter):
+        fat_tree(8, SIMPLE, **kwargs)
+
+
+@pytest.mark.parametrize("src, dst", [(9, 9), (-1, -1), (0, 8), (8, 0), (-1, 0)])
+def test_route_validates_both_ranks_before_loopback(src, dst):
+    with pytest.raises(ValueError, match="out of range"):
+        star(8, SIMPLE).route(src, dst)
+
+
 def test_ring_neighbors_one_hop():
     topo = ring(6, SIMPLE)
     assert len(topo.route(2, 3)) == 1
@@ -133,10 +155,34 @@ def test_host_rank_bounds():
 
 
 def test_no_route_raises():
-    from repro.net.topology import Topology
-
     topo = Topology(name="broken", n_hosts=2)
     topo.add_cable("h0", "s:a", SIMPLE.host_link)
     # h1 never wired up
     with pytest.raises(ValueError, match="no route"):
         topo.route(0, 1)
+
+
+def test_equality_and_repr_ignore_derived_state():
+    a, b = fat_tree(8, SIMPLE), fat_tree(8, SIMPLE)
+    assert a == b
+    a.route(0, 7)
+    assert a == b
+    text = repr(a)
+    assert "_route_cache" not in text and "_adjacency" not in text
+    assert repr(b) == text
+
+
+def test_topology_built_from_links_routes():
+    links = list(star(2, SIMPLE).links)
+    copy = Topology(name="copy", n_hosts=2, links=links)
+    assert copy.route(0, 1) == star(2, SIMPLE).route(0, 1)
+    copy.add_cable("h0", "h1", SIMPLE.host_link)
+    assert len(links) == 4  # the caller's list is not shared
+    assert copy.route(0, 1) == (4,)
+
+
+def test_topology_rejects_misindexed_links():
+    link = star(2, SIMPLE).links[1]
+    with pytest.raises(ValueError, match="index 1 but sits at position 0"):
+        Topology(name="bad", n_hosts=2, links=[link])
+
