@@ -44,7 +44,7 @@ def main() -> int:
             over = value > pinned * (1 + tolerance)
             failed |= over
             verdict = "OVER" if over else "ok"
-            print(f"{workload:<10} {name:<18} {value:>10} pinned {pinned:>10}  {verdict}")
+            print(f"{workload:<11} {name:<18} {value:>10} pinned {pinned:>10}  {verdict}")
     return 1 if failed else 0
 
 

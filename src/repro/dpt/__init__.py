@@ -11,8 +11,9 @@ of serialization steps.
 
 Both designs exist here twice:
 
-* **functionally** (:mod:`repro.dpt.table`) — real thread pool, real NumPy
-  replicas; both designs provably compute identical losses and gradients;
+* **functionally** (:mod:`repro.dpt.table`) — real NumPy replicas whose
+  jobs run in submission order, with serialized ending callbacks; both
+  designs provably compute identical losses and gradients;
 * **as timing models** (:mod:`repro.dpt.timing`) — per-step overhead
   decomposition on the Minsky node model, which is what the epoch-time
   experiments (Figure 12) consume.

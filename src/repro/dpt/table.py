@@ -1,7 +1,8 @@
 """Functional DataParallelTable implementations (baseline vs optimized).
 
-Each "GPU" is a NumPy :class:`~repro.models.nn.Network` replica driven by a
-worker thread.  The two designs follow Figures 3 and 4 of the paper:
+Each "GPU" is a NumPy :class:`~repro.models.nn.Network` replica driven by
+jobs that run in submission order (:class:`~repro.dpt.threads.TorchThreads`).
+The two designs follow Figures 3 and 4 of the paper:
 
 * :class:`BaselineDataParallelTable` — the whole input batch is staged on
   GPU1, scattered from there; worker jobs compute *forward only*, the
@@ -10,7 +11,7 @@ worker thread.  The two designs follow Figures 3 and 4 of the paper:
   jobs; every stage ends in serialized callbacks.
 
 * :class:`OptimizedDataParallelTable` — the batch is partitioned host-side
-  and each worker runs forward + criterion + backward in a single job
+  and each replica runs forward + criterion + backward in a single job
   (criterion parallelized, one synchronization per step).
 
 Both produce bit-identical losses and gradients for equal slice sizes —

@@ -44,7 +44,7 @@ class JobLost(RuntimeError):
 
 
 class _Abandoned(Exception):
-    """Interrupt cause delivered to a doomed attempt's strand processes."""
+    """Interrupt cause delivered to a doomed attempt's strands."""
 
 
 class FleetAttempt(ExecutorAttempt):
@@ -81,14 +81,13 @@ class FleetAttempt(ExecutorAttempt):
         return done
 
     def rollback(self) -> None:
-        # Interrupt only the *strand* processes: each rank proxy then dies
-        # of its inner AllOf's failure, keeping every callback attached
-        # along the chain so each failure is defused by its consumer.
-        # Interrupting a proxy directly would detach its callback from the
-        # inner AllOf and leave that failure unobserved (an engine crash).
-        for proc in self.executor.strand_procs:
-            if proc.is_alive:
-                proc.interrupt(_Abandoned())
+        # Interrupt the *strands*: each rank proxy still waiting then dies
+        # of its inner AllOf's failure, so every failure along the chain is
+        # defused by its consumer (a proxy a node kill already interrupted
+        # pre-defused its AllOf).
+        for strand in self.executor.strands:
+            if strand.is_alive:
+                strand.interrupt(_Abandoned())
         self._detach()
         super().rollback()
 

@@ -39,10 +39,11 @@ human-readable pipeline.
 
 Executor-layer services
 -----------------------
-* :class:`ScheduleExecutor` — spawns one sim process per step plus one
-  *proxy* process per rank; fault injectors interrupt the proxies exactly
-  as they interrupted generator rank-programs.  Per-rank sent-byte
-  accounting taps :attr:`MPIWorld.send_observers` (no monkeypatching).
+* :class:`ScheduleExecutor` — runs each rank's steps as dependency strands
+  (call-driven state machines, not processes) plus one *proxy* process
+  per rank; fault injectors interrupt the proxies exactly as they
+  interrupted generator rank-programs.  Per-rank sent-byte accounting taps
+  :attr:`MPIWorld.send_observers` (no monkeypatching).
 * :func:`run_guarded` — one compiled collective under the shared
   watchdog/retry/repair loop (:mod:`repro.mpi.guard`), on a fresh
   private world per attempt.
@@ -74,7 +75,8 @@ from repro.mpi.guard import (
     guard,
 )
 from repro.mpi.world import Communicator
-from repro.sim.engine import Event, Process
+from repro.sim.engine import Event, Interrupt, Process, SimulationError
+from repro.sim.resources import Resource
 
 __all__ = [
     "CollectiveTelemetry",
@@ -594,8 +596,8 @@ class ExecutionStats:
 class ExecutionProgress:
     """Per-rank, per-step progress bookkeeping for one executor run.
 
-    Pure-Python accounting updated synchronously from inside the strand
-    processes — it adds **no simulation events**, so a tracked run is
+    Pure-Python accounting updated synchronously from inside the strands
+    — it adds **no simulation events**, so a tracked run is
     time-identical to an untracked one (the Figure 5 goldens stay
     bit-exact).  ``in_flight`` maps the sid of every started-but-unfinished
     step to ``(step, start_time)``; ``completed`` holds finished sids so the
@@ -871,59 +873,11 @@ def _bind(bufmap: dict[str, Buffer], name: str | None, lo: int, hi: int) -> Buff
     return base.view(lo, hi)
 
 
-def _perform_step(comm, step, bufmap, tag, stats):
-    """Generator performing one step's operation (deps already satisfied)."""
-    if isinstance(step, SendStep):
-        view = _bind(bufmap, step.buf, step.lo, step.hi)
-        payload = view if view is not None else SizeBuffer(0)
-        comm.isend(step.rank, step.dst, _wire_key(tag, step.key), payload)
-    elif isinstance(step, RecvReduceStep):
-        msg = yield comm.recv(step.rank, step.src, _wire_key(tag, step.key))
-        view = _bind(bufmap, step.buf, step.lo, step.hi)
-        view.add_(msg.payload)
-        yield from comm.reduce_cpu(step.rank, view.nbytes)
-        stats.reduced_bytes += view.nbytes
-    elif isinstance(step, CopyStep):
-        msg = yield comm.recv(step.rank, step.src, _wire_key(tag, step.key))
-        view = _bind(bufmap, step.buf, step.lo, step.hi)
-        if view is not None:
-            view.copy_(msg.payload)
-            yield from comm.copy_cpu(step.rank, view.nbytes)
-            stats.copied_bytes += view.nbytes
-    elif isinstance(step, ReduceLocalStep):
-        dst = _bind(bufmap, step.buf, step.lo, step.hi)
-        src = _bind(bufmap, step.src_buf, step.src_lo, step.src_hi)
-        dst.add_(src.extract())
-        yield from comm.reduce_cpu(step.rank, dst.nbytes)
-        stats.reduced_bytes += dst.nbytes
-    elif isinstance(step, ComputeStep):
-        yield from comm.gpu_compute(step.rank, step.seconds)
-        if step.buf is not None and step.src_buf is not None:
-            # Staged memory mode: materialize the produced gradient range.
-            view = _bind(bufmap, step.buf, step.lo, step.hi)
-            src = _bind(bufmap, step.src_buf, step.lo, step.hi)
-            view.copy_(src.extract())
-        stats.compute_seconds += step.seconds
-    elif isinstance(step, OptimStep):
-        # The gradient is read when the update *starts*: a schedule that
-        # lets the optimizer race an in-flight reduction really consumes
-        # the stale values (so dropped-dependency mutants miscompute).
-        grad = _bind(bufmap, step.buf, step.lo, step.hi)
-        data = grad.extract()
-        yield from comm.gpu_compute(step.rank, step.seconds)
-        if step.dst_buf is not None:
-            dst = _bind(bufmap, step.dst_buf, step.lo, step.hi)
-            dst.copy_(data)
-        stats.compute_seconds += step.seconds
-    else:  # pragma: no cover - new step types must be handled here
-        raise ScheduleError(f"unknown step type {type(step).__name__}")
-
-
 def _resource_class(step: Step) -> str:
     """The exclusive resource a step occupies: the GPU or the network/CPU.
 
     Strand fusion must not chain across this boundary — a fused strand is
-    one sim process, and chaining a network step behind a compute step (or
+    one linear chain, and chaining a network step behind a compute step (or
     vice versa) would serialize the two resources even when the DAG allows
     them to overlap.
     """
@@ -935,7 +889,7 @@ def _partition_strands(steps):
 
     A step *fuses* onto the strand whose current tail is among its deps
     (preferring the most recently produced tail); any remaining deps become
-    cross-strand waits.  Each strand then runs as a single sim process, so
+    cross-strand waits.  Each strand then runs as one :class:`_Strand`, so
     chained steps execute back-to-back with no zero-delay completion hop in
     between.  This reproduces the process structure of the hand-written
     generator collectives (e.g. one ring-reduce and one ring-broadcast
@@ -970,52 +924,234 @@ def _partition_strands(steps):
     return strands
 
 
-def _strand_program(comm, entries, bufmap, tag, stats, done, progress):
-    """One sim process per strand: run its steps back-to-back.
+#: What a strand waits on when it is not a dependency event (see _Strand).
+_RECV, _HOLD = "recv", "hold"
 
-    ``done`` maps the sids that other strands depend on to completion
-    events; a step waits on its cross-strand deps before running and
-    triggers its own event (if anyone waits on it) right after — the same
-    single event hand-off the legacy generators used between phases.
-    ``progress`` is notified synchronously as each step starts and
-    finishes; the calls add no events, so timing is unchanged.
+
+class _Strand(Event):
+    """One dependency strand of one rank, run as a chain of engine calls.
+
+    It runs its steps back-to-back.  Where a step must wait, it registers
+    the rest of itself as a plain call: a message through
+    :meth:`MPIWorld.recv_call`, a CPU/GPU slot through
+    :meth:`Resource.request_call`, the end of a hold as a call ``seconds``
+    later.  Each call takes the heap place of the event a generator strand
+    would have yielded, and a cross-strand wait is a callback on the
+    producing step's ``done`` event, so the strand is time-, order- and
+    step-count-identical to the process it replaces (DESIGN §4o).
+
+    It is an :class:`Event` that succeeds when its last step finishes.
+    :meth:`interrupt` follows :meth:`Process.interrupt`: the current wait
+    is dropped at once, then a call at the current time fails the strand,
+    withdrawing a pending CPU/GPU request or releasing a held slot.
     """
-    engine = comm.engine
-    for step, cross in entries:
-        for d in cross:
-            yield done[d]  # already-triggered events resume immediately
-        progress.begin(step, engine.now)
-        yield from _perform_step(comm, step, bufmap, tag, stats)
-        progress.finish(step, engine.now)
-        ev = done.get(step.sid)
+
+    __slots__ = (
+        "name", "_world", "_members", "_cpu", "_gpu", "_entries", "_bufmap",
+        "_tag", "_stats", "_done", "_progress", "_pos", "_dep", "_waiting",
+        "_res", "_seconds", "_held_data",
+    )
+
+    def __init__(self, comm, rank, entries, bufmap, tag, stats, done, progress):
+        engine = comm.engine
+        super().__init__(engine)
+        world = comm.world
+        wrank = comm.members[rank]
+        self.name = f"sx{entries[0][0].sid}-r{rank}"
+        self._world = world
+        self._members = comm.members
+        self._cpu = world.cpus[wrank]
+        self._gpu = world.gpus[wrank]
+        self._entries = entries
+        self._bufmap = bufmap
+        self._tag = tag
+        self._stats = stats
+        self._done = done
+        self._progress = progress
+        self._pos = 0        # index of the current step in ``entries``
+        self._dep = 0        # cross-strand deps of that step waited on so far
+        self._waiting = None  # a dep event, _RECV, a resource, _HOLD or None
+        self._res = None     # the resource requested or held, for cleanup
+        self._seconds = 0.0  # duration of the hold being requested
+        self._held_data = None  # what the step finishes with after its hold
+        engine.call(self._boot)
+
+    @property
+    def is_alive(self) -> bool:
+        return self._ok is None
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Fail the strand with :class:`Interrupt` at the current time."""
+        if self._ok is not None:
+            raise SimulationError(f"cannot interrupt finished strand {self.name}")
+        self._waiting = None  # drop the current wait: its wakeup is ignored
+        self.engine.call(self._throw, Interrupt(cause))
+
+    # -- waits and wakeups -------------------------------------------------
+    def _throw(self, exc: Interrupt) -> None:
+        if self._ok is not None:
+            return  # it finished (or failed) before the interrupt landed
+        self._waiting = None  # a wait begun since interrupt(), e.g. by the boot
+        self._die(exc)
+
+    def _die(self, exc: BaseException) -> None:
+        if self._res is not None:
+            # Withdraw the request, or release the slot it was granted.
+            self._res.cancel(self._granted)
+        self.fail(exc)
+        self._clear()
+
+    def _clear(self) -> None:
+        """Drop every reference a finished strand no longer needs."""
+        self._world = self._members = self._cpu = self._gpu = None
+        self._entries = self._bufmap = self._stats = self._done = None
+        self._progress = self._res = self._held_data = None
+
+    def _boot(self, _arg: None) -> None:
+        try:
+            self._run()
+        except BaseException as exc:  # noqa: BLE001 - model code may raise anything
+            self._die(exc)
+
+    def _resume(self, event: Event) -> None:
+        if event is not self._waiting:
+            return  # a wakeup an interrupt cancelled while it was queued
+        self._waiting = None
+        self._boot(None)
+
+    def _on_message(self, msg: Any) -> None:
+        if self._waiting is not _RECV:
+            return  # an abandoned receive still consumes its message
+        self._waiting = None
+        try:
+            step = self._entries[self._pos][0]
+            view = _bind(self._bufmap, step.buf, step.lo, step.hi)
+            if isinstance(step, RecvReduceStep):
+                view.add_(msg.payload)
+                self._hold(self._cpu, view.nbytes / self._world.reduce_bandwidth, view)
+            elif view is not None:
+                view.copy_(msg.payload)
+                self._hold(self._cpu, view.nbytes / self._world.copy_bandwidth, view)
+            else:  # a synchronization token: nothing to write
+                self._finish_step()
+                self._run()
+        except BaseException as exc:  # noqa: BLE001
+            self._die(exc)
+
+    def _hold(self, res: Resource, seconds: float, data: Any) -> None:
+        """Request ``res``, hold it for ``seconds``, then finish the step."""
+        self._res = res
+        self._seconds = seconds
+        self._held_data = data
+        res.request_call(self._granted)
+        self._waiting = res
+
+    def _granted(self, res: Resource) -> None:
+        if res is not self._waiting:
+            return  # granted to an interrupted strand: _die released it
+        self._waiting = _HOLD
+        try:
+            self.engine.call(self._released, None, self._seconds)
+        except BaseException as exc:  # noqa: BLE001
+            self._die(exc)
+
+    def _released(self, _arg: None) -> None:
+        if self._waiting is not _HOLD:
+            return  # the hold of an interrupted strand: _die released it
+        self._waiting = None
+        try:
+            res, self._res = self._res, None
+            res.release()
+            step = self._entries[self._pos][0]
+            data, self._held_data = self._held_data, None
+            stats = self._stats
+            if isinstance(step, (RecvReduceStep, ReduceLocalStep)):
+                stats.reduced_bytes += data.nbytes
+            elif isinstance(step, CopyStep):
+                stats.copied_bytes += data.nbytes
+            else:
+                if isinstance(step, ComputeStep):
+                    if step.buf is not None and step.src_buf is not None:
+                        # Staged memory mode: materialize the produced range.
+                        view = _bind(self._bufmap, step.buf, step.lo, step.hi)
+                        src = _bind(self._bufmap, step.src_buf, step.lo, step.hi)
+                        view.copy_(src.extract())
+                elif step.dst_buf is not None:  # an OptimStep's update
+                    dst = _bind(self._bufmap, step.dst_buf, step.lo, step.hi)
+                    dst.copy_(data)
+                stats.compute_seconds += step.seconds
+            self._finish_step()
+            self._run()
+        except BaseException as exc:  # noqa: BLE001
+            self._die(exc)
+
+    # -- running -----------------------------------------------------------
+    def _finish_step(self) -> None:
+        step = self._entries[self._pos][0]
+        self._progress.finish(step, self.engine.now)
+        ev = self._done.get(step.sid)
         if ev is not None:
             ev.succeed()
+        self._pos += 1
+        self._dep = 0
 
+    def _run(self) -> None:
+        """Run steps until one has to wait or the strand ends.
 
-def _spawn_rank_steps(
-    comm: Communicator,
-    rank: int,
-    schedule: Schedule,
-    bufmap: dict[str, Buffer],
-    tag: object,
-    stats: ExecutionStats,
-    progress: ExecutionProgress,
-) -> list[Process]:
-    """Create one process per dependency strand owned by ``rank``."""
-    engine = comm.engine
-    strands = _partition_strands(schedule.rank_steps(rank))
-    done: dict[int, Any] = {}
-    for entries in strands:
-        for _step, cross in entries:
-            for d in cross:
-                done.setdefault(d, engine.event())
-    return [
-        engine.process(
-            _strand_program(comm, entries, bufmap, tag, stats, done, progress),
-            name=f"sx{entries[0][0].sid}-r{rank}",
-        )
-        for entries in strands
-    ]
+        A step waits on its cross-strand deps one by one (an already
+        processed dep is a call one hop later, as for a process), then
+        starts; a send finishes at once, every other step waits for a
+        message or a CPU/GPU hold.
+        """
+        entries = self._entries
+        bufmap = self._bufmap
+        members = self._members
+        while self._pos < len(entries):
+            step, cross = entries[self._pos]
+            if self._dep < len(cross):
+                ev = self._done[cross[self._dep]]
+                self._dep += 1
+                if ev.callbacks is None:
+                    self.engine.call(self._resume, ev)
+                else:
+                    ev.callbacks.append(self._resume)
+                self._waiting = ev
+                return
+            self._progress.begin(step, self.engine.now)
+            if isinstance(step, SendStep):
+                view = _bind(bufmap, step.buf, step.lo, step.hi)
+                self._world.isend(
+                    members[step.rank], members[step.dst],
+                    _wire_key(self._tag, step.key),
+                    view if view is not None else SizeBuffer(0),
+                )
+                self._finish_step()
+                continue
+            if isinstance(step, (RecvReduceStep, CopyStep)):
+                self._world.recv_call(
+                    members[step.rank], members[step.src],
+                    _wire_key(self._tag, step.key), self._on_message,
+                )
+                self._waiting = _RECV
+            elif isinstance(step, ReduceLocalStep):
+                dst = _bind(bufmap, step.buf, step.lo, step.hi)
+                src = _bind(bufmap, step.src_buf, step.src_lo, step.src_hi)
+                dst.add_(src.extract())
+                self._hold(self._cpu, dst.nbytes / self._world.reduce_bandwidth, dst)
+            elif isinstance(step, ComputeStep):
+                self._hold(self._gpu, step.seconds, None)
+            elif isinstance(step, OptimStep):
+                # The gradient is read when the update *starts*: a schedule
+                # that lets the optimizer race an in-flight reduction really
+                # consumes the stale values (so dropped-dependency mutants
+                # miscompute).
+                grad = _bind(bufmap, step.buf, step.lo, step.hi)
+                self._hold(self._gpu, step.seconds, grad.extract())
+            else:  # pragma: no cover - new step types must be handled here
+                raise ScheduleError(f"unknown step type {type(step).__name__}")
+            return
+        self.succeed()
+        self._clear()
 
 
 def _as_bufmap(buf: Buffer | dict[str, Buffer] | None) -> dict[str, Buffer]:
@@ -1036,16 +1172,28 @@ def _check_binding(schedule: Schedule, bufmap: dict[str, Buffer]) -> None:
             )
 
 
-def _rank_proxy(engine, step_procs):
-    if step_procs:
-        yield engine.all_of(step_procs)
+def _rank_proxy(engine, strands):
+    """One rank's interruption point: it finishes when its strands do.
+
+    The strands' ``AllOf`` is pre-defused.  A proxy interrupted directly (a
+    fault injector's crash, a fleet node kill) stops waiting on it, and
+    when the guard then abandons the attempt that ``AllOf`` fails with no
+    waiter; pre-defused, the failure is dropped instead of crashing the
+    engine.  A waiting proxy defuses the failure anyway, so nothing else
+    changes (DESIGN §4h rule 1).
+    """
+    if strands:
+        strands_done = engine.all_of(strands)
+        strands_done.defuse()
+        yield strands_done
 
 
 class ScheduleExecutor:
     """Runs one compiled schedule across all ranks of a communicator.
 
-    The executor spawns one process per dependency strand (maximal linear
-    chain of steps) up front plus one lightweight *proxy* process per rank.  The proxies are the interruption points for
+    The executor starts one call-driven :class:`_Strand` per dependency
+    strand (maximal linear chain of steps) up front plus one lightweight
+    *proxy* process per rank.  The proxies are the interruption points for
     fault injection (``FaultInjector.arm(engine, world, executor.rank_procs,
     it)``) — killing a proxy fails the whole run exactly like killing a
     generator rank-program used to.
@@ -1085,30 +1233,45 @@ class ScheduleExecutor:
         #: Per-step progress the attribution layer diagnoses stalls from.
         self.progress = ExecutionProgress(schedule)
         self.rank_procs: list[Process] = []
-        #: Every strand process spawned by :meth:`launch`.  Callers sharing
-        #: one engine across collectives (the fleet scheduler) interrupt
-        #: these to abandon a timed-out attempt instead of abandoning the
-        #: whole engine.
-        self.strand_procs: list[Process] = []
+        #: Every strand started by :meth:`launch`.  Callers sharing one
+        #: engine across collectives (the fleet scheduler) interrupt these
+        #: to abandon a timed-out attempt instead of abandoning the whole
+        #: engine.
+        self.strands: list[_Strand] = []
         self._done = None
 
     def launch(self):
-        """Spawn all step and proxy processes; returns the completion event."""
+        """Start all strands and proxy processes; returns the completion event."""
         if self._done is not None:
             raise ScheduleError("executor already launched")
         engine = self.comm.engine
         self.comm.world.send_observers.append(self._observer)
         for rank in range(self.comm.size):
-            step_procs = _spawn_rank_steps(
-                self.comm, rank, self.schedule, self.bufmaps[rank],
-                self.tag, self.stats, self.progress,
-            )
-            self.strand_procs.extend(step_procs)
+            strands = self._start_strands(rank)
+            self.strands.extend(strands)
             self.rank_procs.append(
-                engine.process(_rank_proxy(engine, step_procs), name=f"sxr{rank}")
+                engine.process(_rank_proxy(engine, strands), name=f"sxr{rank}")
             )
         self._done = engine.all_of(self.rank_procs)
         return self._done
+
+    def _start_strands(self, rank: int) -> list[_Strand]:
+        """Start one strand per dependency chain owned by ``rank``."""
+        engine = self.comm.engine
+        chains = _partition_strands(self.schedule.rank_steps(rank))
+        # One event per step another strand of this rank waits on.
+        done: dict[int, Event] = {}
+        for entries in chains:
+            for _step, cross in entries:
+                for d in cross:
+                    done.setdefault(d, engine.event())
+        return [
+            _Strand(
+                self.comm, rank, entries, self.bufmaps[rank], self.tag,
+                self.stats, done, self.progress,
+            )
+            for entries in chains
+        ]
 
     def release_observer(self) -> None:
         """Detach this executor's send observer from the world.

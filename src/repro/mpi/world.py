@@ -16,6 +16,7 @@ compute with communication.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.mpi.datatypes import Buffer
@@ -73,14 +74,17 @@ class MPIWorld:
         self._mailbox: list[dict[tuple[int, object], deque[Message]]] = [
             {} for _ in range(n_ranks)
         ]
-        self._waiting: list[dict[tuple[int, object], deque[Event]]] = [
+        self._waiting: list[dict[tuple[int, object], deque[Event | Callable]]] = [
             {} for _ in range(n_ranks)
         ]
         self._any_waiting: list[dict[object, deque[Event]]] = [
             {} for _ in range(n_ranks)
         ]
-        self._cpu = [Resource(engine, 1, name=f"cpu{r}") for r in range(n_ranks)]
-        self._gpu = [Resource(engine, 1, name=f"gpu{r}") for r in range(n_ranks)]
+        #: Per-rank reduce/copy CPU and GPU, one slot each: compute steps
+        #: serialize on a rank's GPU but overlap freely with its
+        #: communication, whose reductions and copies serialize on its CPU.
+        self.cpus = [Resource(engine, 1, name=f"cpu{r}") for r in range(n_ranks)]
+        self.gpus = [Resource(engine, 1, name=f"gpu{r}") for r in range(n_ranks)]
         self._channel_tail: dict[tuple[int, int], Event] = {}
         #: Optional message-fault hook (see :mod:`repro.train.injection`).
         #: Must expose ``on_send(src, dst, tag, nbytes) -> (action, seconds)``
@@ -161,18 +165,34 @@ class MPIWorld:
 
     def recv(self, rank: int, src: int, tag: object) -> Event:
         """Event that fires with the :class:`Message` from ``(src, tag)``."""
+        ev = self.engine.event()
+        self.recv_call(rank, src, tag, ev)
+        return ev
+
+    def recv_call(
+        self, rank: int, src: int, tag: object, waiter: Event | Callable[[Message], object]
+    ) -> None:
+        """Call-style :meth:`recv`: ``waiter(message)`` runs as an engine
+        call where the receive event would fire (an :class:`Event` waiter
+        is succeeded instead).  A waiter whose receiver died still consumes
+        its message, as an abandoned receive event does.
+        """
         self._check_rank(rank)
         self._check_rank(src)
         key = (src, tag)
         queue = self._mailbox[rank].get(key)
-        ev = self.engine.event()
         if queue:
-            ev.succeed(queue.popleft())
+            self._wake(waiter, queue.popleft())
             if not queue:
                 del self._mailbox[rank][key]
         else:
-            self._waiting[rank].setdefault(key, deque()).append(ev)
-        return ev
+            self._waiting[rank].setdefault(key, deque()).append(waiter)
+
+    def _wake(self, waiter: Event | Callable[[Message], object], msg: Message) -> None:
+        if isinstance(waiter, Event):
+            waiter.succeed(msg)
+        else:
+            self.engine.call(waiter, msg)
 
     def recv_any(self, rank: int, tag: object) -> Event:
         """Event that fires with the next message carrying ``tag`` from *any*
@@ -193,7 +213,7 @@ class MPIWorld:
         key = (msg.source, msg.tag)
         waiters = self._waiting[dst].get(key)
         if waiters:
-            waiters.popleft().succeed(msg)
+            self._wake(waiters.popleft(), msg)
             if not waiters:
                 del self._waiting[dst][key]
             return
@@ -212,25 +232,12 @@ class MPIWorld:
         backs up, stalling every collective it hosts (the fleet health
         monitor polls this to decide proactive drains).
         """
-        return self._cpu[rank].queue_length
+        return self.cpus[rank].queue_length
 
     # -- local compute --------------------------------------------------------
-    def reduce_cpu(self, rank: int, nbytes: float):
-        """Generator: occupy ``rank``'s CPU for a reduction of ``nbytes``."""
-        yield from self._cpu[rank].use(nbytes / self.reduce_bandwidth)
-
     def copy_cpu(self, rank: int, nbytes: float):
         """Generator: occupy ``rank``'s CPU for a copy of ``nbytes``."""
-        yield from self._cpu[rank].use(nbytes / self.copy_bandwidth)
-
-    def gpu_compute(self, rank: int, seconds: float):
-        """Generator: occupy ``rank``'s GPU for an already-priced duration.
-
-        The GPU is an exclusive per-rank resource distinct from the reduce/
-        copy CPU: compute steps serialize against each other on one rank but
-        overlap freely with that rank's communication.
-        """
-        yield from self._gpu[rank].use(seconds)
+        yield from self.cpus[rank].use(nbytes / self.copy_bandwidth)
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:
@@ -293,14 +300,8 @@ class Communicator:
     def recv(self, rank: int, src: int, tag: object) -> Event:
         return self.world.recv(self.members[rank], self.members[src], tag)
 
-    def reduce_cpu(self, rank: int, nbytes: float):
-        yield from self.world.reduce_cpu(self.members[rank], nbytes)
-
     def copy_cpu(self, rank: int, nbytes: float):
         yield from self.world.copy_cpu(self.members[rank], nbytes)
-
-    def gpu_compute(self, rank: int, seconds: float):
-        yield from self.world.gpu_compute(self.members[rank], seconds)
 
     # -- topology-ish helpers -------------------------------------------------
     def split(self, n_groups: int) -> list["Communicator"]:

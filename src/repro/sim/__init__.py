@@ -20,7 +20,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -29,7 +29,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "PriorityResource",
     "Resource",
     "SimulationError",
     "Store",

@@ -2,8 +2,8 @@
 
 * :class:`Resource` — a counted resource (e.g. a GPU, a disk head, a host
   thread slot).  Processes ``request()`` a slot, yield the returned event,
-  and must ``release()`` when done.
-* :class:`PriorityResource` — same, with lower-priority-number-first grants.
+  and must ``release()`` when done; call-driven code passes a function to
+  ``request_call()`` instead.
 * :class:`Store` — an unbounded-or-bounded FIFO of Python objects (used for
   work queues such as the Torch "donkey" mini-batch queue).
 """
@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable
 from typing import Any
 
 from repro.sim.engine import Engine, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Store"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -29,7 +30,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Event | Callable[[Resource], Any]] = deque()
 
     @property
     def in_use(self) -> int:
@@ -46,37 +47,51 @@ class Resource:
     def request(self) -> Event:
         """Return an event that triggers when a slot is granted."""
         ev = self.engine.event()
+        self.request_call(ev)
+        return ev
+
+    def request_call(self, waiter: Event | Callable[[Resource], Any]) -> None:
+        """Call-style :meth:`request`: ``waiter(self)`` runs as an engine
+        call once a slot is granted (an :class:`Event` waiter is succeeded
+        instead).
+
+        The call takes the heap place the request event's firing would, so
+        event and call waiters share one FIFO queue and interleave exactly.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed(self)
+            self._grant(waiter)
         else:
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append(waiter)
 
     def release(self) -> None:
         """Free one slot; grants the longest-waiting request if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed(self)
+            self._grant(self._waiters.popleft())
         else:
             self._in_use -= 1
 
-    def cancel(self, request_event: Event) -> None:
-        """Withdraw a pending request, or release a granted-but-unused slot.
+    def _grant(self, waiter: Event | Callable[[Resource], Any]) -> None:
+        if isinstance(waiter, Event):
+            waiter.succeed(self)
+        else:
+            self.engine.call(waiter, self)
 
-        Needed when the requesting process is interrupted: a request left
-        in the waiter queue would be granted to a dead process later and
-        leak the slot for good (deadlocking every other user).
+    def cancel(self, waiter: Event | Callable[[Resource], Any]) -> None:
+        """Withdraw a pending request, or release the slot granted to it.
+
+        ``waiter`` is the event :meth:`request` returned or the function
+        given to :meth:`request_call`.  Needed when the requester is
+        interrupted: a request left in the waiter queue would be granted to
+        a dead process later and leak the slot for good (deadlocking every
+        other user).
         """
-        if request_event.triggered:
-            self.release()
-            return
         try:
-            self._waiters.remove(request_event)
+            self._waiters.remove(waiter)
         except ValueError:
-            pass
+            self.release()  # no longer queued: it was granted
 
     def use(self, duration: float):
         """Generator helper: acquire, hold for ``duration``, release.
@@ -95,43 +110,6 @@ class Resource:
             yield self.engine.timeout(duration)
         finally:
             self.release()
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are granted lowest-priority-number first."""
-
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
-        super().__init__(engine, capacity, name)
-        self._prio_waiters: list[tuple[int, int, Event]] = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> Event:  # type: ignore[override]
-        ev = self.engine.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._seq += 1
-            self._prio_waiters.append((priority, self._seq, ev))
-            self._prio_waiters.sort(key=lambda t: (t[0], t[1]))
-        return ev
-
-    def release(self) -> None:  # type: ignore[override]
-        if self._in_use <= 0:
-            raise SimulationError(f"release() on idle resource {self.name!r}")
-        if self._prio_waiters:
-            _prio, _seq, ev = self._prio_waiters.pop(0)
-            ev.succeed(self)
-        else:
-            self._in_use -= 1
-
-    def cancel(self, request_event: Event) -> None:  # type: ignore[override]
-        if request_event.triggered:
-            self.release()
-            return
-        self._prio_waiters = [
-            t for t in self._prio_waiters if t[2] is not request_event
-        ]
 
 
 class Store:

@@ -1,6 +1,4 @@
-"""Tests for the Torch-threads-style pool."""
-
-import threading
+"""Tests for the Torch-threads-style job list."""
 
 import pytest
 
@@ -25,31 +23,44 @@ def test_ending_callbacks_serialized_in_order():
     assert order == list(range(8))
 
 
-def test_callbacks_run_on_synchronizing_thread():
-    callback_threads = []
+def test_jobs_run_in_submission_order_at_synchronize():
+    log = []
     with TorchThreads(3) as pool:
-        for _ in range(3):
+        for i in range(4):
             pool.add_job(
-                lambda: threading.get_ident(),
-                lambda _v: callback_threads.append(threading.get_ident()),
+                lambda i=i: log.append(("job", i)) or i,
+                lambda v: log.append(("end", v)),
             )
-        job_threads = pool.synchronize()
-    main = threading.get_ident()
-    assert all(t == main for t in callback_threads)
-    assert any(t != main for t in job_threads)  # jobs ran off-main
+        assert log == []  # nothing runs before synchronize
+        assert pool.synchronize() == [0, 1, 2, 3]
+    # Every job first, in order; then the serialized ending callbacks.
+    assert log == [("job", i) for i in range(4)] + [("end", i) for i in range(4)]
+    assert (pool.jobs_run, pool.callbacks_run) == (4, 4)
 
 
-def test_jobs_actually_parallel():
-    """With n threads and n sleeping jobs, wall time ~ one job."""
-    import time
+def test_first_exception_reraised_after_all_jobs_before_callbacks():
+    ran, ended = [], []
 
-    with TorchThreads(4) as pool:
-        start = time.monotonic()
-        for _ in range(4):
-            pool.add_job(lambda: time.sleep(0.1))
-        pool.synchronize()
-        elapsed = time.monotonic() - start
-    assert elapsed < 0.35
+    def job(i):
+        ran.append(i)
+        if i == 1:
+            raise ZeroDivisionError("first")
+        if i == 3:
+            raise KeyError("second")
+        return i
+
+    with TorchThreads(2) as pool:
+        for i in range(5):
+            pool.add_job(lambda i=i: job(i), ended.append)
+        with pytest.raises(ZeroDivisionError, match="first"):
+            pool.synchronize()
+        assert ran == [0, 1, 2, 3, 4]  # the jobs after the failure still ran
+        assert ended == []  # no ending callback once a job failed
+        assert (pool.jobs_run, pool.callbacks_run) == (3, 0)
+        # The failed batch is gone; the pool stays usable.
+        pool.add_job(lambda: 7, ended.append)
+        assert pool.synchronize() == [7]
+        assert ended == [7]
 
 
 def test_exception_propagates_at_synchronize():

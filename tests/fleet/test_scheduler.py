@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetScheduler, JobSpec, SharedCluster
+from repro.fleet.chaos import _WIDE, _jobs
 from repro.mpi import RetryPolicy
 
 
@@ -161,6 +162,34 @@ def test_node_kill_emits_correlated_failures():
             job.spec, scripted_shrinks=tuple(job.shrink_log)
         )
         assert np.array_equal(job.final_params, solo_params(ref))
+
+
+def test_node_kill_mid_collective_shrinks_both_jobs():
+    # The kill lands while job0's allreduce is in flight, so the scheduler
+    # interrupts the rank proxies of a live executor; abandoning the
+    # attempt then fails their strands' AllOf, which must not crash the
+    # shared engine (DESIGN §4h rule 1).
+    landed = []
+
+    def trigger(cluster, scheduler):
+        job = scheduler.jobs["job0"]
+        while job.active_executor is None:
+            yield cluster.engine.timeout(1e-6)
+        strands = job.active_executor.strands
+        landed.append(sum(strand.is_alive for strand in strands))
+        scheduler.kill_node(job.placement[0])
+
+    report, scheduler = run_fleet(
+        _jobs(2), cluster_kw=_WIDE, placement="pack", trigger=trigger
+    )
+    assert landed[0] > 0  # strands were still running when the node died
+    assert all(j.status == "finished" for j in report.jobs)
+    assert report.leaked == []
+    for name in ("job0", "job1"):
+        job = scheduler.jobs[name]
+        assert len(job.shrink_log) == 1
+        ref = replace(job.spec, scripted_shrinks=tuple(job.shrink_log))
+        assert np.array_equal(job.final_params, solo_params(ref, cluster_kw=_WIDE))
 
 
 def kill_all_job_nodes(name):

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import Engine, PriorityResource, Resource, SimulationError, Store
+from repro.sim import Engine, Resource, SimulationError, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -63,27 +63,42 @@ def test_resource_capacity_validation():
         Resource(eng, capacity=0)
 
 
-def test_priority_resource_orders_waiters():
+def test_call_waiters_share_the_fifo_with_event_waiters():
     eng = Engine()
-    res = PriorityResource(eng, capacity=1)
+    res = Resource(eng, capacity=1)
     order = []
 
-    def holder():
+    def hold_then_release(name):
+        order.append((name, eng.now))
+        eng.call(lambda _arg: res.release(), None, 1.0)
+
+    def event_user(name):
         yield res.request()
-        yield eng.timeout(1.0)
-        res.release()
+        hold_then_release(name)
 
-    def waiter(name, prio, after):
-        yield eng.timeout(after)
-        yield res.request(priority=prio)
-        order.append(name)
-        res.release()
-
-    eng.process(holder())
-    eng.process(waiter("low", 5, 0.1))
-    eng.process(waiter("high", 1, 0.2))
+    eng.process(event_user("a"))
+    eng.call(lambda _arg: res.request_call(lambda _res: hold_then_release("b")))
+    eng.process(event_user("c"))
+    eng.call(lambda _arg: res.request_call(lambda _res: hold_then_release("d")))
     eng.run()
-    assert order == ["high", "low"]
+    assert order == [("a", 0.0), ("b", 1.0), ("c", 2.0), ("d", 3.0)]
+    assert res.in_use == 0
+
+
+def test_cancel_withdraws_a_queued_call_waiter_or_releases_a_granted_one():
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    granted = []
+    first, second = granted.append, lambda r: granted.append(("second", r))
+    res.request_call(first)  # granted at once: its call is on the heap
+    res.request_call(second)  # queued behind it
+    assert (res.in_use, res.queue_length) == (1, 1)
+    res.cancel(second)  # withdrawn: never granted
+    assert res.queue_length == 0
+    res.cancel(first)  # granted already: the slot is released
+    assert res.in_use == 0
+    eng.run()
+    assert granted == [res]  # the grant call still runs; its owner ignores it
 
 
 def test_store_fifo_order():
