@@ -41,14 +41,12 @@ from repro.data.shuffle import (
     simulate_shuffle,
 )
 from repro.data.guard import diagnose_shuffle, run_shuffle_guarded
-from repro.data.filestore import FileBackedLoader
 from repro.data.memory import MemoryPlan, max_replication_groups, plan_memory
 from repro.data.augment import augment_batch, normalize_batch
 
 __all__ = [
     "DIMDStore",
     "DatasetSpec",
-    "FileBackedLoader",
     "GroupLayout",
     "IMAGENET_1K",
     "IMAGENET_22K",

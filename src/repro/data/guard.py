@@ -33,7 +33,7 @@ from repro.data.shuffle import (
 )
 from repro.mpi.guard import Attempt, CollectiveTelemetry, RetryPolicy, drive, guard
 from repro.mpi.runner import build_world
-from repro.mpi.schedule import FailureDiagnosis, StalledStep
+from repro.mpi.schedule import FailureDiagnosis, StalledStep, attribute_stall
 from repro.sim.engine import Event
 from repro.utils.rng import rng_for
 
@@ -51,19 +51,22 @@ def _steps_total(progress: ShuffleProgress) -> tuple[int, ...]:
 def diagnose_shuffle(progress: ShuffleProgress, now: float) -> FailureDiagnosis:
     """Attribute a stalled shuffle attempt from its progress bookkeeping.
 
-    Same attribution logic as :func:`repro.mpi.schedule.diagnose_execution`
-    at message granularity: each blocked receive whose matching send was
-    posted is ``"message-loss"`` on that wire; otherwise the chain of
-    blocked receives is walked backwards to the rank that stopped making
-    progress without waiting on anyone (``"silent-rank"``), or to a cycle.
+    The attribution walk of :func:`repro.mpi.schedule.diagnose_execution`
+    (:func:`~repro.mpi.schedule.attribute_stall`) at message granularity:
+    each rank's blocked receive, oldest first, is the evidence; one whose
+    matching send was posted is ``"message-loss"`` on that wire, otherwise
+    the chain of blocked receives is walked backwards to the rank that
+    stopped making progress without waiting on anyone (``"silent-rank"``),
+    or to a cycle.
     """
+    steps_done = progress.steps_done
     blocked: list[StalledStep] = []
     for rank in sorted(progress.waiting):
         src, key, since = progress.waiting[rank]
         blocked.append(
             StalledStep(
                 rank=rank,
-                sid=progress.steps_done[rank],
+                sid=steps_done[rank],
                 kind="ShuffleRecv",
                 waiting_on=src,
                 note=str(key),
@@ -73,54 +76,14 @@ def diagnose_shuffle(progress: ShuffleProgress, now: float) -> FailureDiagnosis:
             )
         )
     blocked.sort(key=lambda s: (s.since, s.rank))
-
-    base = dict(
+    return attribute_stall(
+        blocked,
+        blocked,
+        lambda s: progress.waiting[s.rank][1] in progress.sends,
         now=now,
         n_ranks=progress.n_ranks,
-        steps_done=tuple(progress.steps_done),
+        steps_done=tuple(steps_done),
         steps_total=_steps_total(progress),
-        stalled=tuple(blocked),
-    )
-
-    if not blocked:
-        behind = [
-            r for r in range(progress.n_ranks) if not progress.finished[r]
-        ]
-        return FailureDiagnosis(
-            cause="no-progress",
-            suspect_rank=behind[0] if behind else None,
-            **base,
-        )
-
-    for s in blocked:
-        _, key, _ = progress.waiting[s.rank]
-        if key in progress.sends:
-            return FailureDiagnosis(
-                cause="message-loss",
-                suspect_rank=s.waiting_on,
-                suspect_link=(s.waiting_on, s.rank),
-                suspect_sid=s.sid,
-                suspect_kind=s.kind,
-                **base,
-            )
-
-    # No lost payload: follow the chain of blocked receives backwards until
-    # it reaches a rank that is not itself waiting on anyone.
-    by_rank = {s.rank: s for s in blocked}
-    pick = blocked[0]
-    suspect = pick.waiting_on
-    seen = {pick.rank}
-    while suspect not in seen and suspect in by_rank:
-        seen.add(suspect)
-        pick = by_rank[suspect]
-        suspect = pick.waiting_on
-    return FailureDiagnosis(
-        cause="stalled-cycle" if suspect in seen else "silent-rank",
-        suspect_rank=suspect,
-        suspect_link=(suspect, pick.rank),
-        suspect_sid=pick.sid,
-        suspect_kind=pick.kind,
-        **base,
     )
 
 

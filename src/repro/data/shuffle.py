@@ -92,43 +92,47 @@ class ShuffleReport:
 
 
 class ShuffleProgress:
-    """Per-rank progress bookkeeping for one shuffle attempt.
+    """The record of one shuffle attempt: its sends and receives, timed.
 
     Pure-Python accounting updated synchronously from inside the rank
     programs — it adds **no simulation events**, so a tracked shuffle is
-    time-identical to an untracked one.  It mirrors the executor layer's
-    :class:`~repro.mpi.schedule.ExecutionProgress` at message granularity:
-    ``waiting`` maps each blocked rank to the (sender, message key) it is
-    receiving on, and ``sends`` records every posted message key, so the
+    time-identical to an untracked one.  It is the message-granular
+    counterpart of :class:`~repro.mpi.schedule.ExecutionProgress`:
+    ``sends`` maps every posted message key to its (sender, post time),
+    ``recv_times`` holds each rank's receive completion times and
+    ``waiting`` each blocked rank's (sender, message key, since), so the
     diagnoser (:func:`repro.data.guard.diagnose_shuffle`) can tell a lost
     message from a sender that never posted.
     """
 
     def __init__(self, n_ranks: int):
         self.n_ranks = n_ranks
-        self.steps_done = [0] * n_ranks
-        self.last_advance = [0.0] * n_ranks
         self.finished = [False] * n_ranks
         #: rank -> (src, message key, since) for the receive it is blocked on.
         self.waiting: dict[int, tuple[int, object, float]] = {}
-        #: Message keys posted so far (eager sends complete locally).
-        self.sends: set = set()
+        #: message key -> (sender, post time); eager sends complete locally.
+        self.sends: dict[object, tuple[int, float]] = {}
+        #: rank -> completion time of each of its receives, in order.
+        self.recv_times: list[list[float]] = [[] for _ in range(n_ranks)]
 
-    def sent(self, rank: int, dst: int, key: object) -> None:
-        self.sends.add(key)
+    @property
+    def steps_done(self) -> list[int]:
+        """Receives each rank has completed."""
+        return [len(times) for times in self.recv_times]
+
+    def sent(self, rank: int, key: object, now: float) -> None:
+        self.sends[key] = (rank, now)
 
     def begin_recv(self, rank: int, src: int, key: object, now: float) -> None:
         self.waiting[rank] = (src, key, now)
 
     def end_recv(self, rank: int, now: float) -> None:
         self.waiting.pop(rank, None)
-        self.steps_done[rank] += 1
-        self.last_advance[rank] = now
+        self.recv_times[rank].append(now)
 
-    def finish(self, rank: int, now: float) -> None:
+    def finish(self, rank: int) -> None:
         self.waiting.pop(rank, None)
         self.finished[rank] = True
-        self.last_advance[rank] = now
 
 
 def _verified_ring_exchange(
@@ -160,7 +164,7 @@ def _verified_ring_exchange(
     for t in range(n - 1):
         comm.isend(rank, succ, ("shg", tag, t), ArrayBuffer(carry))
         if progress is not None:
-            progress.sent(rank, succ, ("shg", tag, t, rank, succ))
+            progress.sent(rank, ("shg", tag, t, rank, succ), comm.engine.now)
             progress.begin_recv(
                 rank, pred, ("shg", tag, t, pred, rank), comm.engine.now
             )
@@ -370,7 +374,7 @@ def distributed_shuffle(
     )
     store.local_permute(rng_for(seed, "perm", round_id, rank))
     if progress is not None:
-        progress.finish(rank, engine.now)
+        progress.finish(rank)
     return ShuffleReport(
         elapsed=engine.now - start,
         bytes_exchanged=bytes_sent,

@@ -88,13 +88,9 @@ class FleetAttempt(ExecutorAttempt):
         for strand in self.executor.strands:
             if strand.is_alive:
                 strand.interrupt(_Abandoned())
-        self._detach()
+        self.job.active_executor = None
         super().rollback()
 
     def commit(self) -> list[ArrayBuffer]:
-        self._detach()
-        return self.buffers
-
-    def _detach(self) -> None:
-        self.executor.release_observer()
         self.job.active_executor = None
+        return self.buffers

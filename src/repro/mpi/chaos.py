@@ -17,7 +17,7 @@ its plane's result check (:func:`allreduce_violations`,
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from repro.mpi.collectives import ALLREDUCE_COMPILERS, ALLREDUCE_FAMILIES
 from repro.mpi.datatypes import ArrayBuffer
 from repro.mpi.guard import CollectiveTelemetry, CollectiveTimeout, RetryPolicy
 from repro.mpi.runner import build_world
-from repro.mpi.schedule import ExecutionProgress, ScheduleExecutor, run_guarded
+from repro.mpi.schedule import ScheduleExecutor, SendStep, run_guarded
 from repro.train.injection import FaultInjector, FaultPlan, FaultSpec
 
 __all__ = [
@@ -105,49 +105,30 @@ class ReferenceRun:
     send_times: dict[int, tuple[float, ...]]
 
 
-def _recorded_run(name, n_ranks, engine, world, run, marks) -> ReferenceRun:
-    """Run fault-free, recording each rank's send-post times; ``marks``
-    (rank -> completion times) is filled by the plane's progress hook."""
+def _reference_run(
+    name: str,
+    n_ranks: int,
+    elapsed: float,
+    marks: Iterable[tuple[int, float]],
+    posts: Iterable[tuple[int, float]],
+) -> ReferenceRun:
+    """A fault-free run's points from its ``(rank, time)`` pairs: ``marks``
+    are step or receive completions, ``posts`` are send posts."""
+    boundaries: dict[int, set[float]] = {r: {0.0} for r in range(n_ranks)}
     sends: dict[int, set[float]] = {r: set() for r in range(n_ranks)}
-    world.send_observers.append(
-        lambda src, dst, tag, nbytes: sends[src].add(engine.now)
-    )
-    elapsed = run()
+    for rank, t in marks:
+        boundaries[rank].add(t)
+    for rank, t in posts:
+        sends[rank].add(t)
     return ReferenceRun(
         algorithm=name,
         elapsed=elapsed,
-        boundaries={
-            r: tuple(sorted({0.0, *marks.get(r, [])})) for r in range(n_ranks)
-        },
+        boundaries={r: tuple(sorted(boundaries[r])) for r in range(n_ranks)},
         send_times={r: tuple(sorted(sends[r])) for r in range(n_ranks)},
     )
 
 
 # -- the two guard planes -------------------------------------------------------
-
-
-class _StepTimes(ExecutionProgress):
-    """Executor progress that also keeps per-rank step finish times."""
-
-    def __init__(self, schedule):
-        super().__init__(schedule)
-        self.times: dict[int, list[float]] = {}
-
-    def finish(self, step, now):
-        super().finish(step, now)
-        self.times.setdefault(step.rank, []).append(now)
-
-
-class _RecvTimes(ShuffleProgress):
-    """Shuffle progress that also keeps per-rank receive completion times."""
-
-    def __init__(self, n_ranks: int):
-        super().__init__(n_ranks)
-        self.times: dict[int, list[float]] = {}
-
-    def end_recv(self, rank: int, now: float) -> None:
-        super().end_recv(rank, now)
-        self.times.setdefault(rank, []).append(now)
 
 
 @dataclass(frozen=True)
@@ -170,13 +151,16 @@ class AllreducePlane:
         return [chaos_input(r, self.count) for r in range(n_ranks)]
 
     def reference(self, n_ranks: int) -> ReferenceRun:
-        engine, world, comm = build_world(n_ranks)
+        _engine, _world, comm = build_world(n_ranks)
         schedule = ALLREDUCE_COMPILERS[self.name](n_ranks, self.count, ITEMSIZE)
         buffers = [ArrayBuffer(a) for a in self._inputs(n_ranks)]
         executor = ScheduleExecutor(comm, schedule, buffers)
-        executor.progress = progress = _StepTimes(schedule)
-        return _recorded_run(
-            self.name, n_ranks, engine, world, executor.run, progress.times
+        elapsed = executor.run()
+        end = executor.progress.end
+        return _reference_run(
+            self.name, n_ranks, elapsed,
+            ((s.rank, end[s.sid]) for s in schedule.steps),
+            ((s.rank, end[s.sid]) for s in schedule.steps if isinstance(s, SendStep)),
         )
 
     def run(self, n_ranks: int, **guard) -> list[ArrayBuffer]:
@@ -206,25 +190,26 @@ class ShufflePlane:
 
     def reference(self, n_ranks: int) -> ReferenceRun:
         stores = shuffle_chaos_stores(n_ranks)
-        engine, world, comm = build_world(n_ranks)
-        progress = _RecvTimes(n_ranks)
-
-        def run() -> float:
-            start = engine.now
-            procs = [
-                engine.process(
-                    distributed_shuffle(
-                        comm, r, stores[r], progress=progress, **SHUFFLE_ROUND
-                    ),
-                    name=f"shuffle{r}",
-                )
-                for r in range(n_ranks)
-            ]
-            engine.run(engine.all_of(procs))
-            return engine.now - start
-
-        return _recorded_run(
-            self.name, n_ranks, engine, world, run, progress.times
+        engine, _world, comm = build_world(n_ranks)
+        progress = ShuffleProgress(n_ranks)
+        procs = [
+            engine.process(
+                distributed_shuffle(
+                    comm, r, stores[r], progress=progress, **SHUFFLE_ROUND
+                ),
+                name=f"shuffle{r}",
+            )
+            for r in range(n_ranks)
+        ]
+        engine.run(engine.all_of(procs))
+        return _reference_run(
+            self.name, n_ranks, engine.now,
+            (
+                (rank, t)
+                for rank, times in enumerate(progress.recv_times)
+                for t in times
+            ),
+            progress.sends.values(),
         )
 
     def run(self, n_ranks: int, **guard) -> list[DIMDStore]:

@@ -54,7 +54,7 @@ def alltoallv(
         dst = (rank + offset) % n
         comm.isend(rank, dst, ("a2a", tag), send_bufs[dst])
         if progress is not None:
-            progress.sent(rank, dst, ("a2a", tag, rank, dst))
+            progress.sent(rank, ("a2a", tag, rank, dst), comm.engine.now)
     for offset in range(1, n):
         src = (rank - offset) % n
         if progress is not None:

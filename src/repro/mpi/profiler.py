@@ -1,10 +1,10 @@
 """Collective profiling: where a collective's bytes and time go.
 
 Profiles a compiled collective schedule: the
-:class:`~repro.mpi.schedule.ScheduleExecutor` already accounts per-rank
-sends and message counts through the world's send observers, so this module
-adds only the link-class traffic classification and the alpha-beta lower
-bound — producing the numbers behind statements like "the multi-color trees
+:class:`~repro.mpi.schedule.ScheduleExecutor`'s strands already count
+per-rank sent bytes and messages at every send step they post, so this
+module adds only the link-class traffic classification and the alpha-beta
+lower bound — producing the numbers behind statements like "the multi-color trees
 push 4x more bytes through the leaf-spine core than a contiguous ring".
 """
 
@@ -83,8 +83,10 @@ def profile_allreduce(
 ) -> CollectiveProfile:
     """Run one size-only allreduce and collect its traffic profile.
 
-    Per-rank send accounting comes from the executor's send observer — it
-    is written once at the executor layer, not per algorithm.
+    Per-rank send accounting comes from the executor's
+    :class:`~repro.mpi.schedule.ExecutionStats`, counted by its strands at
+    each posted send step — written once at the executor layer, not per
+    algorithm.
     """
     if algorithm not in ALLREDUCE_COMPILERS:
         raise ValueError(

@@ -42,8 +42,9 @@ Executor-layer services
 * :class:`ScheduleExecutor` — runs each rank's steps as dependency strands
   (call-driven state machines, not processes) plus one *proxy* process
   per rank; fault injectors interrupt the proxies exactly as they
-  interrupted generator rank-programs.  Per-rank sent-byte accounting taps
-  :attr:`MPIWorld.send_observers` (no monkeypatching).
+  interrupted generator rank-programs.  Each strand records step begin and
+  finish times (:class:`ExecutionProgress`) and counts the sends it posts
+  (:class:`ExecutionStats`).
 * :func:`run_guarded` — one compiled collective under the shared
   watchdog/retry/repair loop (:mod:`repro.mpi.guard`), on a fresh
   private world per attempt.
@@ -90,6 +91,7 @@ __all__ = [
     "OptimStep",
     "RankFailure",
     "StalledStep",
+    "attribute_stall",
     "diagnose_execution",
     "RecvReduceStep",
     "ReduceLocalStep",
@@ -594,15 +596,16 @@ class ExecutionStats:
 
 
 class ExecutionProgress:
-    """Per-rank, per-step progress bookkeeping for one executor run.
+    """The one record of an executor run: when each step began and ended.
 
-    Pure-Python accounting updated synchronously from inside the strands
-    — it adds **no simulation events**, so a tracked run is
-    time-identical to an untracked one (the Figure 5 goldens stay
-    bit-exact).  ``in_flight`` maps the sid of every started-but-unfinished
-    step to ``(step, start_time)``; ``completed`` holds finished sids so the
-    diagnoser can tell a lost message (matching send completed) from an
-    unposted one (sender itself stalled).
+    ``start[sid]`` is the time step ``sid`` began (its dependencies were
+    met) and ``end[sid]`` the time it finished, ``None`` until then; the
+    lint makes sids dense, so both are plain lists.  A step with a start
+    and no end is in flight; a send's start and end are its post time.
+    ``steps_done`` counts each rank's finished steps.  Updated synchronously
+    from inside the strands, it adds **no simulation events**, so a
+    tracked run is time-identical to an untracked one (the Figure 5
+    goldens stay bit-exact).
     """
 
     def __init__(self, schedule: Schedule):
@@ -611,18 +614,15 @@ class ExecutionProgress:
         for s in schedule.steps:
             self.steps_total[s.rank] += 1
         self.steps_done = [0] * n
-        self.last_advance = [0.0] * n
-        self.in_flight: dict[int, tuple[Step, float]] = {}
-        self.completed: set[int] = set()
+        self.start: list[float | None] = [None] * schedule.n_steps
+        self.end: list[float | None] = [None] * schedule.n_steps
 
     def begin(self, step: Step, now: float) -> None:
-        self.in_flight[step.sid] = (step, now)
+        self.start[step.sid] = now
 
     def finish(self, step: Step, now: float) -> None:
-        self.in_flight.pop(step.sid, None)
-        self.completed.add(step.sid)
+        self.end[step.sid] = now
         self.steps_done[step.rank] += 1
-        self.last_advance[step.rank] = now
 
 
 @dataclass(frozen=True)
@@ -719,11 +719,12 @@ def diagnose_execution(
 
     Blocked receives past their analytic per-step deadline
     (:meth:`AlphaBetaModel.step_deadline`) are the evidence; attribution
-    distinguishes a payload lost on the wire (matching send completed) from
-    a sender that never posted (cascade traced to its root).  Message
-    matching here is *tolerant* — orphan receives (schedules that would
-    fail the lint) simply stay unmapped instead of raising, because the
-    diagnoser runs on whatever schedule actually got stuck.
+    (:func:`attribute_stall`) distinguishes a payload lost on the wire
+    (matching send completed) from a sender that never posted (cascade
+    traced to its root).  Message matching here is *tolerant* — orphan
+    receives (schedules that would fail the lint) simply stay unmapped
+    instead of raising, because the diagnoser runs on whatever schedule
+    actually got stuck.
     """
     model = model if model is not None else AlphaBetaModel()
     grace = DEFAULT_DEADLINE_GRACE if grace is None else grace
@@ -737,7 +738,10 @@ def diagnose_execution(
 
     blocked: list[StalledStep] = []
     compute_stalled: list[StalledStep] = []
-    for step, since in progress.in_flight.values():
+    for step in schedule.steps:
+        since = progress.start[step.sid]
+        if since is None or progress.end[step.sid] is not None:
+            continue
         if isinstance(step, (ComputeStep, OptimStep)):
             # A compute step's deadline is its own priced duration (plus
             # grace); one stuck past that is a wedged GPU, not a lost
@@ -779,14 +783,6 @@ def diagnose_execution(
     blocked.sort(key=lambda s: (s.since, s.sid))
     compute_stalled.sort(key=lambda s: (s.since, s.sid))
 
-    base = dict(
-        now=now,
-        n_ranks=schedule.n_ranks,
-        steps_done=tuple(progress.steps_done),
-        steps_total=tuple(progress.steps_total),
-        stalled=tuple(blocked),
-    )
-
     if not blocked and compute_stalled:
         pick = compute_stalled[0]
         return FailureDiagnosis(
@@ -799,17 +795,6 @@ def diagnose_execution(
             steps_done=tuple(progress.steps_done),
             steps_total=tuple(progress.steps_total),
             stalled=tuple(compute_stalled),
-        )
-
-    if not blocked:
-        behind = [
-            r for r in range(schedule.n_ranks)
-            if progress.steps_done[r] < progress.steps_total[r]
-        ]
-        return FailureDiagnosis(
-            cause="no-progress",
-            suspect_rank=behind[0] if behind else None,
-            **base,
         )
 
     # Tolerant runtime message matching: per (src, dst, key) triple the
@@ -826,25 +811,69 @@ def diagnose_execution(
         for snd, rcv in zip(sends.get(triple, []), recv_list):
             recv_to_send[rcv] = snd
 
-    hot = [s for s in blocked if s.overdue > 0] or blocked
+    def posted(s: StalledStep) -> bool:
+        snd = recv_to_send.get(s.sid)
+        return snd is not None and progress.end[snd] is not None
 
-    lost = [s for s in hot if recv_to_send.get(s.sid) in progress.completed]
-    if lost:
-        pick = lost[0]
+    return attribute_stall(
+        blocked,
+        [s for s in blocked if s.overdue > 0] or blocked,
+        posted,
+        now=now,
+        n_ranks=schedule.n_ranks,
+        steps_done=tuple(progress.steps_done),
+        steps_total=tuple(progress.steps_total),
+    )
+
+
+def attribute_stall(
+    blocked: list[StalledStep],
+    hot: list[StalledStep],
+    posted: Callable[[StalledStep], bool],
+    *,
+    now: float,
+    n_ranks: int,
+    steps_done: tuple[int, ...],
+    steps_total: tuple[int, ...],
+) -> FailureDiagnosis:
+    """The blocked-receive attribution walk of every stall diagnoser.
+
+    ``blocked`` holds the receives blocked at diagnosis time, in the
+    caller's order (oldest first); ``hot`` is the part of it to search
+    first, and ``posted(s)`` says whether the send that receive ``s``
+    waits on left its sender.  With nothing blocked the stall is ``"no-progress"`` (suspect:
+    the first rank behind).  The first ``hot`` receive whose send was
+    posted is ``"message-loss"`` on that wire.  Otherwise the chain of
+    blocked receives is followed back from ``hot[0]`` until it reaches a
+    rank that is not itself waiting on anyone (``"silent-rank"``), or
+    closes a cycle (``"stalled-cycle"``).
+    """
+    base = dict(
+        now=now,
+        n_ranks=n_ranks,
+        steps_done=steps_done,
+        steps_total=steps_total,
+        stalled=tuple(blocked),
+    )
+    if not blocked:
+        behind = [r for r in range(n_ranks) if steps_done[r] < steps_total[r]]
         return FailureDiagnosis(
-            cause="message-loss",
-            suspect_rank=pick.waiting_on,
-            suspect_link=(pick.waiting_on, pick.rank),
-            suspect_sid=pick.sid,
-            suspect_kind=pick.kind,
+            cause="no-progress",
+            suspect_rank=behind[0] if behind else None,
             **base,
         )
-
-    # The matching send was never posted: follow the chain of blocked
-    # receives backwards until it reaches a rank that is not itself
-    # waiting on anyone — that rank went silent.
+    for s in hot:
+        if posted(s):
+            return FailureDiagnosis(
+                cause="message-loss",
+                suspect_rank=s.waiting_on,
+                suspect_link=(s.waiting_on, s.rank),
+                suspect_sid=s.sid,
+                suspect_kind=s.kind,
+                **base,
+            )
     by_rank: dict[int, StalledStep] = {}
-    for s in blocked:  # sorted: keeps each rank's earliest blocked receive
+    for s in blocked:  # oldest first: keeps each rank's earliest receive
         by_rank.setdefault(s.rank, s)
     pick = hot[0]
     suspect = pick.waiting_on
@@ -1120,11 +1149,14 @@ class _Strand(Event):
             self._progress.begin(step, self.engine.now)
             if isinstance(step, SendStep):
                 view = _bind(bufmap, step.buf, step.lo, step.hi)
+                if view is None:
+                    view = SizeBuffer(0)
                 self._world.isend(
                     members[step.rank], members[step.dst],
-                    _wire_key(self._tag, step.key),
-                    view if view is not None else SizeBuffer(0),
+                    _wire_key(self._tag, step.key), view,
                 )
+                self._stats.per_rank_sent[step.rank] += view.nbytes
+                self._stats.n_messages += 1
                 self._finish_step()
                 continue
             if isinstance(step, (RecvReduceStep, CopyStep)):
@@ -1198,10 +1230,11 @@ class ScheduleExecutor:
     it)``) — killing a proxy fails the whole run exactly like killing a
     generator rank-program used to.
 
-    Per-rank sent bytes are accounted through
-    :attr:`~repro.mpi.world.MPIWorld.send_observers`, filtered to this
-    executor's wire tag, so profiling needs no monkeypatching and multiple
-    executors can share one world (bucketed overlap).
+    Each strand records its steps' begin and finish times in
+    :attr:`progress` (the run's one record, see
+    :class:`ExecutionProgress`) and counts the sends it posts in
+    :attr:`stats`, so executors can share one world, even under one wire
+    tag, without seeing each other's traffic.
     """
 
     def __init__(
@@ -1245,7 +1278,6 @@ class ScheduleExecutor:
         if self._done is not None:
             raise ScheduleError("executor already launched")
         engine = self.comm.engine
-        self.comm.world.send_observers.append(self._observer)
         for rank in range(self.comm.size):
             strands = self._start_strands(rank)
             self.strands.extend(strands)
@@ -1272,29 +1304,6 @@ class ScheduleExecutor:
             )
             for entries in chains
         ]
-
-    def release_observer(self) -> None:
-        """Detach this executor's send observer from the world.
-
-        Long-lived shared worlds (the fleet cluster) run thousands of
-        executors; without detaching, the observer list — and the cost of
-        every subsequent send — would grow without bound.
-        """
-        try:
-            self.comm.world.send_observers.remove(self._observer)
-        except ValueError:
-            pass
-
-    def _observer(self, src: int, dst: int, tag: object, nbytes: int) -> None:
-        if (
-            isinstance(tag, tuple)
-            and len(tag) == 3
-            and tag[0] == "sx"
-            and tag[1] == self.tag
-        ):
-            group_src = self.comm.group_rank(src) if self.comm.contains(src) else src
-            self.stats.per_rank_sent[group_src] += nbytes
-            self.stats.n_messages += 1
 
     def run(self) -> float:
         """Launch (if needed) and run the engine to completion; returns elapsed."""

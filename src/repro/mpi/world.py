@@ -38,7 +38,14 @@ class Message:
 
 
 class MPIWorld:
-    """All ranks plus the network they communicate over."""
+    """All ranks plus the network they communicate over.
+
+    The world keeps no record of who sent what: whoever posts a send
+    accounts for it (a schedule executor's strands in its
+    :class:`~repro.mpi.schedule.ExecutionProgress` and
+    :class:`~repro.mpi.schedule.ExecutionStats`, a shuffle's rank programs
+    in its :class:`~repro.data.shuffle.ShuffleProgress`).
+    """
 
     def __init__(
         self,
@@ -93,11 +100,6 @@ class MPIWorld:
         #: which returns a bit-flipped copy deposited in place of the
         #: original — size, and hence timing, unchanged).
         self.fault_controller: object | None = None
-        #: Passive send taps: callables ``(src, dst, tag, nbytes)`` invoked
-        #: at every :meth:`isend` posting.  Used by the schedule executor
-        #: and the profiler for per-rank accounting without monkeypatching;
-        #: observers must not mutate world state.
-        self.send_observers: list = []
 
     def comm_world(self) -> "Communicator":
         return Communicator(self, list(range(self.n_ranks)))
@@ -121,8 +123,6 @@ class MPIWorld:
         self._check_rank(dst)
         payload = buf.extract()
         nbytes = buf.nbytes
-        for observer in self.send_observers:
-            observer(src, dst, tag, nbytes)
         engine = self.engine
         done = engine.event()
         prev_tail = self._channel_tail.get((src, dst))

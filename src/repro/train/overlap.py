@@ -152,7 +152,7 @@ def simulate_bucketed_overlap(
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
     from repro.mpi.datatypes import SizeBuffer
     from repro.mpi.runner import build_world
-    from repro.mpi.schedule import ExecutionProgress, ScheduleExecutor
+    from repro.mpi.schedule import ScheduleExecutor
     from repro.net.params import CONNECTX5_DUAL
     from repro.train.stepdag import _segment_rule, compile_bucketed_step
 
@@ -196,40 +196,26 @@ def simulate_bucketed_overlap(
         **alg_kwargs,
     )
 
-    class _BucketSpans(ExecutionProgress):
-        """Span tracking off the ``b{i}|`` note prefix; zero sim events."""
-
-        def __init__(self, schedule):
-            super().__init__(schedule)
-            self.spans = [[None, 0.0] for _ in range(n_buckets)]
-
-        @staticmethod
-        def _bucket_of(note: str) -> int | None:
-            if not note.startswith("b"):
-                return None
-            head, sep, _rest = note.partition("|")
-            return int(head[1:]) if sep else None
-
-        def begin(self, s, now):
-            super().begin(s, now)
-            i = self._bucket_of(s.note)
-            if i is not None and self.spans[i][0] is None:
-                self.spans[i][0] = now
-
-        def finish(self, s, now):
-            super().finish(s, now)
-            i = self._bucket_of(s.note)
-            if i is not None:
-                self.spans[i][1] = max(self.spans[i][1], now)
-
     engine, world, comm = build_world(n_ranks, topology=topology, network=network)
     step_bufs = [SizeBuffer(count, itemsize) for _ in range(n_ranks)]
     executor = ScheduleExecutor(comm, step, step_bufs, tag="stepdag")
-    tracker = _BucketSpans(step)
-    executor.progress = tracker
     elapsed = executor.run()
 
-    spans = [(s[0] if s[0] is not None else 0.0, s[1]) for s in tracker.spans]
+    # A bucket's span runs from its first step's begin to its last step's
+    # finish; its steps carry the ``b{i}|`` note prefix.
+    progress = executor.progress
+    sids: list[list[int]] = [[] for _ in range(n_buckets)]
+    for s in step.steps:
+        head, sep, _rest = s.note.partition("|")
+        if sep and head.startswith("b"):
+            sids[int(head[1:])].append(s.sid)
+    spans = [
+        (
+            min((progress.start[k] for k in ks), default=0.0),
+            max((progress.end[k] for k in ks), default=0.0),
+        )
+        for ks in sids
+    ]
     return OverlapResult(
         n_buckets=n_buckets,
         compute_time=compute,

@@ -1,83 +1,10 @@
-"""Tests for the file-backed loader and the augmentation pipeline."""
+"""Tests for the augmentation pipeline."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import NFS_STORAGE, StorageDevice, StorageSpec
-from repro.data import FileBackedLoader, augment_batch, normalize_batch
+from repro.data import augment_batch, normalize_batch
 from repro.data.augment import random_resized_crop
-from repro.sim import Engine
-
-
-def make_loader(engine, spec=None, **kw):
-    device = StorageDevice(engine, spec or NFS_STORAGE)
-    defaults = dict(batch_images=64, mean_image_bytes=110_000.0)
-    defaults.update(kw)
-    return FileBackedLoader(engine, device, **defaults)
-
-
-def test_loader_produces_requested_batches():
-    eng = Engine()
-    loader = make_loader(eng)
-    loader.start(n_batches=5)
-    got = []
-
-    def consumer():
-        for _ in range(5):
-            b = yield loader.next_batch()
-            got.append((eng.now, b))
-
-    eng.run(eng.process(consumer()))
-    assert len(got) == 5
-    assert got[0][0] > 0
-
-
-def test_loader_throughput_is_storage_bound():
-    """Consuming batches as fast as possible should take ~n * service time."""
-    eng = Engine()
-    loader = make_loader(eng)
-    n = 6
-
-    def consumer():
-        for _ in range(n):
-            yield loader.next_batch()
-
-    loader.start(n)
-    eng.run(eng.process(consumer()))
-    expected = n * loader.batch_service_time()
-    assert eng.now == pytest.approx(expected, rel=0.35)
-
-
-def test_loader_prefetch_hides_io_behind_compute():
-    """If compute per batch exceeds I/O per batch, the pipeline is
-    compute-bound: total ~ n * compute."""
-    eng = Engine()
-    fast = StorageSpec(name="fast", sequential_bandwidth=10e9, random_iops=1e6)
-    loader = make_loader(eng, spec=fast)
-    io_time = loader.batch_service_time()
-    compute = 10 * io_time
-    n = 4
-
-    def gpu():
-        for _ in range(n):
-            yield loader.next_batch()
-            yield eng.timeout(compute)
-
-    loader.start(n)
-    eng.run(eng.process(gpu()))
-    assert eng.now == pytest.approx(n * compute + io_time, rel=0.1)
-
-
-def test_loader_validation():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        make_loader(eng, batch_images=0)
-    loader = make_loader(eng)
-    with pytest.raises(ValueError):
-        loader.start(0)
-    loader.start(1)
-    with pytest.raises(RuntimeError):
-        loader.start(1)
 
 
 def test_random_resized_crop_shape_and_determinism():

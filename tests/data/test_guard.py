@@ -159,7 +159,7 @@ def test_exhausted_retries_leave_stores_pristine():
 def test_diagnose_shuffle_message_loss():
     progress = ShuffleProgress(3)
     key = ("shg", None, 0, 1, 2)
-    progress.sent(1, 2, key)           # sender posted...
+    progress.sent(1, key, 0.2)         # sender posted...
     progress.begin_recv(2, 1, key, 0.5)  # ...receiver still waiting
     diag = diagnose_shuffle(progress, now=10.0)
     assert diag.cause == "message-loss"
@@ -180,7 +180,7 @@ def test_diagnose_shuffle_silent_rank():
 
 def test_diagnose_shuffle_no_progress():
     progress = ShuffleProgress(2)
-    progress.finish(0, 1.0)
+    progress.finish(0)
     diag = diagnose_shuffle(progress, now=10.0)
     assert diag.cause == "no-progress"
     assert diag.suspect_rank == 1

@@ -68,8 +68,6 @@ class ReferenceWorld(MPIWorld):
         self._check_rank(dst)
         payload = buf.extract()
         nbytes = buf.nbytes
-        for observer in self.send_observers:
-            observer(src, dst, tag, nbytes)
         done = self.engine.event()
         prev_tail = self._channel_tail.get((src, dst))
         self._channel_tail[(src, dst)] = done

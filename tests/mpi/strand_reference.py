@@ -38,6 +38,8 @@ def _perform_step(comm, step, bufmap, tag, stats):
         view = _bind(bufmap, step.buf, step.lo, step.hi)
         payload = view if view is not None else SizeBuffer(0)
         comm.isend(step.rank, step.dst, _wire_key(tag, step.key), payload)
+        stats.per_rank_sent[step.rank] += payload.nbytes
+        stats.n_messages += 1
     elif isinstance(step, RecvReduceStep):
         msg = yield comm.recv(step.rank, step.src, _wire_key(tag, step.key))
         view = _bind(bufmap, step.buf, step.lo, step.hi)

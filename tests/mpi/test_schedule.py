@@ -256,6 +256,28 @@ def test_concurrent_executors_share_one_world():
     assert ex_b.stats.n_messages == 1
 
 
+def test_same_tag_executors_on_split_halves_keep_their_own_stats():
+    # Ring allreduces under one tag on both halves of an 8-rank world: the
+    # halves never exchange messages, and each executor's send accounting
+    # sees only its own strands' sends.
+    sched = ALLREDUCE_COMPILERS["ring"](4, 64, 8)
+    engine, world, comm = build_world(8, topology="star")
+    halves = comm.split(2)
+    executors = [
+        ScheduleExecutor(half, sched, [SizeBuffer(64, 8) for _ in range(4)], tag="t")
+        for half in halves
+    ]
+    engine.run(engine.all_of([ex.launch() for ex in executors]))
+
+    engine, world, comm = build_world(4, topology="star")
+    solo = ScheduleExecutor(comm, sched, [SizeBuffer(64, 8) for _ in range(4)], tag="t")
+    solo.run()
+    assert solo.stats.n_messages == sum(isinstance(s, SendStep) for s in sched.steps)
+    for ex in executors:
+        assert ex.stats.n_messages == solo.stats.n_messages
+        assert ex.stats.per_rank_sent == solo.stats.per_rank_sent
+
+
 # -- cross-algorithm equivalence ----------------------------------------------
 
 
@@ -517,8 +539,8 @@ def test_executor_progress_counters_reach_totals():
     progress = executor.progress
     for r in range(4):
         assert progress.steps_done[r] == progress.steps_total[r] > 0
-    assert progress.in_flight == {}
-    assert len(progress.completed) == len(sched.steps)
+    assert None not in progress.end
+    assert all(b <= e for b, e in zip(progress.start, progress.end))
 
 
 # -- compute steps in the unified training-step DAG ---------------------------
