@@ -19,7 +19,7 @@ Examples::
     python -m repro chaos --collective sdc-step
     python -m repro chaos --collective fleet --full
     python -m repro fleet --jobs 4 --placement spread --kill-node 0
-    python -m repro verify --all --goldens --mutate smoke
+    python -m repro verify --all --goldens
     python -m repro fig5
 
 Exit codes follow the fault tooling convention: 0 = ran and every
@@ -205,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "bound against the Fig. 5 goldens")
     p.add_argument("--goldens-max-mb", type=float, default=None,
                    help="only cross-check goldens up to this payload size")
-    p.add_argument("--mutate", default="off",
-                   choices=("off", "smoke", "full"),
-                   help="also run the mutation self-test: 'smoke' mutates "
-                        "one compiler per family, 'full' all compilers")
     p.add_argument("--verbose", action="store_true",
                    help="print every schedule's report, not just failures")
     p.add_argument("--fleet", action="store_true",
@@ -718,8 +714,6 @@ def _cmd_fleet(args) -> int:
 def _cmd_verify(args) -> int:
     if args.fleet:
         return _cmd_verify_fleet(args)
-    from repro.mpi.collectives import ALLREDUCE_COMPILERS
-    from repro.mpi.verify.mutate import run_mutation_suite
     from repro.mpi.verify.sweep import run_sweep
 
     try:
@@ -739,31 +733,20 @@ def _cmd_verify(args) -> int:
         goldens_max_mb=args.goldens_max_mb,
     )
     print(result.format(verbose=args.verbose))
-    ok = result.all_ok
-
-    if args.mutate != "off":
-        names = _algorithms("all" if args.mutate == "full" else "smoke")
-        mutation = run_mutation_suite(
-            {name: ALLREDUCE_COMPILERS[name] for name in names}
-        )
-        print(mutation.format())
-        ok = ok and mutation.kill_rate >= 0.95
-
-    return 0 if ok else 1
+    return 0 if result.all_ok else 1
 
 
 def _cmd_verify_fleet(args) -> int:
     """Bounded model checking of the fleet control plane.
 
     Exit codes: 0 all invariants proved within the bound, 1 a
-    counterexample (or escaped mutant) was found, 2 the requested bounds
-    are invalid or the exploration blew the state cap.
+    counterexample was found, 2 the requested bounds are invalid or the
+    exploration blew the state cap.
     """
     import dataclasses
 
     from repro.fleet.verify import (
         replay_trace,
-        run_fleet_mutation_suite,
         smoke_bounds,
         sweep_bounds,
         verify_fleet,
@@ -791,18 +774,12 @@ def _cmd_verify_fleet(args) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
     print(result.format())
-    ok = result.ok
 
     if result.counterexample is not None and args.fleet_replay:
         replay = replay_trace(bounds, result.counterexample.trace)
         print(replay.format())
 
-    if args.mutate != "off":
-        mutation = run_fleet_mutation_suite()
-        print(mutation.format())
-        ok = ok and mutation.kill_rate == 1.0
-
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 def _cmd_report(args) -> int:

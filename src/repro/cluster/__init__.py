@@ -20,7 +20,6 @@ from repro.cluster.specs import (
     LOCAL_MEMORY,
 )
 from repro.cluster.gpu import GPUComputeModel
-from repro.cluster.storage import StorageDevice
 from repro.cluster.interconnect import IntraNodeFabric
 
 __all__ = [
@@ -36,6 +35,5 @@ __all__ = [
     "NodeSpec",
     "P100",
     "V100",
-    "StorageDevice",
     "StorageSpec",
 ]

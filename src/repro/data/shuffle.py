@@ -422,8 +422,10 @@ def simulate_shuffle(
     dataset (the paper's memory-rich layout), so per-node bytes — and
     shuffle time — grow with the group count.
     """
-    if pack_bandwidth <= 0:
-        raise ValueError("pack_bandwidth must be positive")
+    if not pack_bandwidth > 0:  # the negated form also rejects NaN
+        raise ValueError(f"pack_bandwidth must be positive, got {pack_bandwidth}")
+    if max_chunk_bytes < 1:
+        raise ValueError(f"max_chunk_bytes must be >= 1, got {max_chunk_bytes}")
     if replicate_per_group:
         partition = dataset.partition_bytes(n_learners, n_groups)
     else:

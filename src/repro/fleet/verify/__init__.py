@@ -9,9 +9,9 @@ Eight invariants — the slot ledger, grant lifecycle, gang atomicity,
 lineage replayability, drain hygiene and requeue budgets — are checked
 at every reachable state up to a configurable bound; breaches come back
 as minimal event traces replayable through the real scheduler via
-:mod:`repro.fleet.verify.replay`.  :mod:`repro.fleet.verify.mutate`
-turns the checker on itself: a battery of surgical scheduler bugs it
-must kill statically.
+:mod:`repro.fleet.verify.replay`.  The checker's own mutation battery
+(surgical scheduler bugs it must kill statically) lives with the tests,
+``tests/fleet/mutation.py``.
 
 Entry points: ``repro verify --fleet`` on the CLI,
 :func:`verify_fleet` + :func:`smoke_bounds` / :func:`sweep_bounds` from
@@ -33,24 +33,12 @@ from repro.fleet.verify.explore import (
     verify_fleet,
 )
 from repro.fleet.verify.invariants import INVARIANTS, check_invariants
-from repro.fleet.verify.mutate import (
-    FLEET_MUTANTS,
-    FleetMutant,
-    FleetMutationRecord,
-    FleetMutationResult,
-    clean_hunt_bounds,
-    run_fleet_mutation_suite,
-)
 from repro.fleet.verify.replay import ReplayResult, replay_trace, trace_specs
 
 __all__ = [
     "Bounds",
     "Counterexample",
     "Event",
-    "FLEET_MUTANTS",
-    "FleetMutant",
-    "FleetMutationRecord",
-    "FleetMutationResult",
     "FleetVerifyResult",
     "INVARIANTS",
     "ModelJobSpec",
@@ -58,11 +46,9 @@ __all__ = [
     "Violation",
     "apply_event",
     "check_invariants",
-    "clean_hunt_bounds",
     "enabled_events",
     "initial_state",
     "replay_trace",
-    "run_fleet_mutation_suite",
     "smoke_bounds",
     "sweep_bounds",
     "trace_specs",

@@ -15,9 +15,10 @@ over one :class:`~repro.mpi.verify.hb.HBGraph`:
 
 Entry point: :func:`verify_schedule`, returning one
 :class:`~repro.mpi.verify.report.VerificationReport`.  The CLI sweep
-(:mod:`repro.mpi.verify.sweep`) and the mutation self-test harness
-(:mod:`repro.mpi.verify.mutate`) are loaded lazily so importing the
-verifier core never drags in compiler or chaos machinery.
+(:mod:`repro.mpi.verify.sweep`) is loaded lazily so importing the
+verifier core never drags in compiler or chaos machinery.  The mutation
+self-test that grades these passes against the executor lives with the
+tests (``tests/mpi/mutation.py``).
 """
 
 from __future__ import annotations
@@ -62,14 +63,11 @@ __all__ = [
     "verify_schedule",
 ]
 
-#: Attributes resolved lazily from heavier submodules (they import the
-#: compiler registry / golden tables, which the verifier core must not).
+#: Attributes resolved lazily from the sweep (it imports the compiler
+#: registry / golden tables, which the verifier core must not).
 _LAZY = {
     "run_sweep": "repro.mpi.verify.sweep",
     "sweep_cases": "repro.mpi.verify.sweep",
-    "run_mutation_suite": "repro.mpi.verify.mutate",
-    "run_step_mutation_suite": "repro.mpi.verify.mutate",
-    "MUTATORS": "repro.mpi.verify.mutate",
 }
 
 

@@ -1,39 +1,6 @@
-"""Unit tests for the storage device simulation."""
+"""Unit tests for the storage tier's closed-form read cost."""
 
-import pytest
-
-from repro.cluster import NFS_STORAGE, StorageDevice, StorageSpec
-from repro.sim import Engine
-
-FAST = StorageSpec(name="t", sequential_bandwidth=100.0, random_iops=10.0)
-
-
-def test_read_takes_closed_form_time():
-    eng = Engine()
-    dev = StorageDevice(eng, FAST)
-    ev = dev.read_event(200.0, 2)
-    eng.run(ev)
-    assert eng.now == pytest.approx(FAST.read_time(200.0, 2))
-    assert dev.bytes_read == 200.0
-    assert dev.requests == 2
-
-
-def test_reads_serialize_on_one_stream():
-    eng = Engine()
-    dev = StorageDevice(eng, FAST, streams=1)
-    e1 = dev.read_event(100.0)
-    e2 = dev.read_event(100.0)
-    eng.run(eng.all_of([e1, e2]))
-    assert eng.now == pytest.approx(2 * FAST.read_time(100.0))
-
-
-def test_two_streams_run_concurrently():
-    eng = Engine()
-    dev = StorageDevice(eng, FAST, streams=2)
-    e1 = dev.read_event(100.0)
-    e2 = dev.read_event(100.0)
-    eng.run(eng.all_of([e1, e2]))
-    assert eng.now == pytest.approx(FAST.read_time(100.0))
+from repro.cluster import NFS_STORAGE
 
 
 def test_random_requests_dominate_small_reads():
@@ -42,12 +9,3 @@ def test_random_requests_dominate_small_reads():
     t = NFS_STORAGE.read_time(img, 1)
     transfer_only = img / NFS_STORAGE.sequential_bandwidth
     assert t > 1.5 * transfer_only
-
-
-def test_validation():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        StorageDevice(eng, FAST, streams=0)
-    dev = StorageDevice(eng, FAST)
-    with pytest.raises(ValueError):
-        next(dev.read(-1.0))

@@ -8,9 +8,10 @@ a renamed one that orphans a row) fails here, not in review.
 """
 
 import re
+import shlex
 from pathlib import Path
 
-from repro.cli import _COMMANDS
+from repro.cli import _COMMANDS, build_parser
 from repro.train.injection import FAULT_KINDS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -57,3 +58,31 @@ def test_readme_documents_fleet_verify_mode():
     assert re.search(r"repro verify --fleet\b", readme), (
         "README.md lost the `repro verify --fleet` quickstart"
     )
+
+
+def readme_cli_commands(text: str) -> list[str]:
+    """Arguments of every ``python -m repro ...`` line in a fenced block,
+    with ``\\`` continuations joined and trailing comments dropped."""
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        joined = re.sub(r"\\\n\s*", " ", block)
+        for line in joined.splitlines():
+            match = re.match(r"\s*python -m repro\s+(.*)", line)
+            if match:
+                commands.append(shlex.split(match.group(1), comments=True))
+    return commands
+
+
+def test_readme_cli_commands_parse():
+    # A removed option or renamed flag that the README still shows fails
+    # here instead of in a reader's shell.
+    commands = readme_cli_commands((REPO / "README.md").read_text())
+    assert len(commands) >= 20, f"only {len(commands)} commands found"
+    parser = build_parser()
+    rejected = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(" ".join(argv))
+    assert not rejected, f"README commands the CLI rejects: {rejected}"

@@ -256,3 +256,20 @@ def test_simulate_group_shuffle_roughly_flat():
 def test_simulate_shuffle_validation():
     with pytest.raises(ValueError):
         simulate_shuffle(8, IMAGENET_1K, pack_bandwidth=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_chunk_bytes": 0}, "max_chunk_bytes"),
+        ({"max_chunk_bytes": -1}, "max_chunk_bytes"),
+        ({"pack_bandwidth": float("nan")}, "pack_bandwidth"),
+        ({"pack_bandwidth": -1.0}, "pack_bandwidth"),
+    ],
+    ids=["chunk-zero", "chunk-negative", "bandwidth-nan", "bandwidth-negative"],
+)
+def test_simulate_shuffle_rejects_bad_parameter_by_name(kwargs, name):
+    # A zero chunk used to divide by zero, a negative one ran a single
+    # pass, and a NaN bandwidth failed deep inside the engine.
+    with pytest.raises(ValueError, match=name):
+        simulate_shuffle(8, IMAGENET_1K, **kwargs)

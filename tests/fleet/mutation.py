@@ -24,6 +24,9 @@ workload finds it in milliseconds instead of re-exploring the full CI
 smoke bound per mutant.  The unmutated core must prove clean under
 every hunt bound — :func:`clean_hunt_bounds` enumerates them for the
 baseline test — so a kill is attributable to the mutation alone.
+
+The battery runs under pytest (``tests/fleet/test_verify_mutation.py``);
+patching happens only there, never in a ``repro`` run.
 """
 
 from __future__ import annotations

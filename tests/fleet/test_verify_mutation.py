@@ -1,15 +1,16 @@
 """Mutation self-test: every seeded control-plane bug dies statically."""
 
 from repro.fleet import control, policy
-from repro.fleet.verify import (
-    FLEET_MUTANTS,
-    clean_hunt_bounds,
-    replay_trace,
-    run_fleet_mutation_suite,
-    verify_fleet,
-)
+from repro.fleet.verify import replay_trace, verify_fleet
 from repro.fleet.verify.invariants import INVARIANTS
-from repro.fleet.verify.mutate import _patched, hunt
+
+from tests.fleet.mutation import (
+    FLEET_MUTANTS,
+    _patched,
+    clean_hunt_bounds,
+    hunt,
+    run_fleet_mutation_suite,
+)
 
 
 def test_clean_model_proves_under_every_hunt_bound():

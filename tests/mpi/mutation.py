@@ -29,6 +29,10 @@ kill rate over harmful mutants stays >= 95%.
 Mutants are constructed to pass the structural lint wherever possible
 (pairs are dropped/duplicated together, ranges stay inside the buffer)
 so the deeper passes — not the lint — do the killing.
+
+The batteries run under pytest: ``tests/mpi/test_verify_mutation.py``
+grades the smoke slice (one compiler per family) and the training-step
+DAGs in tier 1, and the full registry under ``-m slow``.
 """
 
 from __future__ import annotations

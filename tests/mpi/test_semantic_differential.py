@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.mpi.schedule import ScheduleBuilder, ScheduleError, validate_schedule
 from repro.mpi.verify import (
-    MUTATORS,
     HBGraph,
     allreduce_contract,
     alltoallv_contract,
@@ -34,6 +33,7 @@ from repro.mpi.verify import (
 )
 
 from tests.mpi import semantic_reference as ref
+from tests.mpi.mutation import MUTATORS
 
 
 def reference_contract(contract):

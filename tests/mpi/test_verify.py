@@ -28,9 +28,10 @@ from repro.mpi.verify import (
     train_step_contract,
     verify_schedule,
 )
-from repro.mpi.verify.mutate import MUTATORS
 from repro.mpi.verify.report import MAX_ISSUES_PER_PASS, Issue, cap_issues
 from repro.mpi.verify.sweep import crosscheck_goldens, run_sweep
+
+from tests.mpi.mutation import MUTATORS
 
 # -- happens-before graph -----------------------------------------------------
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro.mpi.collectives import ALLREDUCE_COMPILERS, ALLREDUCE_FAMILIES
 from repro.mpi.verify import allreduce_contract, verify_schedule
-from repro.mpi.verify.mutate import (
+
+from tests.mpi.mutation import (
     MUTATORS,
     _execute_allreduce,
     _execute_train_step,
