@@ -122,7 +122,14 @@ class ChaosReport:
 
 
 class References:
-    """Fault-free reference results, each built at most once per sweep."""
+    """Fault-free reference results, each built at most once per sweep.
+
+    A plane keys each result by the exact inputs of the run that builds
+    it, so two points (or a point and a check) that need the same run
+    share one build and two runs that differ in any input never share.
+    Store results only (a report, final params), never a live scheduler,
+    engine or trainer: the cache lives as long as the sweep.
+    """
 
     def __init__(self) -> None:
         self._built: dict[Hashable, Any] = {}

@@ -29,6 +29,7 @@ The store also carries the machinery the crash-safe shuffle needs:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ class DIMDStore:
 
     def __init__(
         self,
-        records: list[bytes],
+        records: Sequence[bytes],
         labels: np.ndarray,
         *,
         learner: int = 0,

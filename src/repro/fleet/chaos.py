@@ -38,7 +38,9 @@ injected disturbance, then asserts these invariants:
 policy, queue limit, points and own invariants (5, 6, 8).  Triggers are
 event-driven (they poll simulated state on a fixed tick and fire when the
 fleet reaches the scenario's window), so every point is bit-reproducible:
-same seed, same sweep, same report.
+same seed, same sweep, same report.  Determinism is also what lets each
+fault-free run (makespan reference, lineage replay, clean sdc fleet) be
+cached by its exact inputs and run at most once per sweep.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ class FleetRun(NamedTuple):
     record: dict
 
 
-#: A kind-specific invariant, checked once the trigger has fired.
-Check = Callable[[FleetChaosPoint, FleetRun], list[str]]
+#: A kind-specific invariant, checked once the trigger has fired; it
+#: reads fault-free runs through the sweep's cache.
+Check = Callable[[FleetChaosPoint, FleetRun, References], list[str]]
 
 
 def _run_fleet(
@@ -123,6 +126,28 @@ def _run_fleet(
     if trigger is not None:
         scheduler.spawn(trigger(scheduler, record))
     return FleetRun(scheduler.run(), scheduler, record)
+
+
+def _fault_free(
+    refs: References,
+    specs: list[JobSpec],
+    placement: str,
+    cluster_kw: dict,
+    *,
+    seed: int = 0,
+    max_queued: int | None = None,
+    run: FleetRun | None = None,
+) -> FleetReport:
+    """The report of the fault-free fleet run (no trigger, no health
+    monitor) of these inputs, keyed by exactly those inputs, so every
+    point and check that needs the same run shares one.  ``run``, a
+    finished run of these very inputs, fills the entry instead of a
+    fresh run.  Only the report is kept, never the scheduler."""
+    key = (tuple(specs), placement, tuple(sorted(cluster_kw.items())),
+           seed, max_queued)
+    return refs.get(key, lambda: (run or _run_fleet(
+        specs, placement, cluster_kw, seed=seed, max_queued=max_queued
+    )).report)
 
 
 # -- triggers -----------------------------------------------------------------
@@ -310,7 +335,7 @@ def _node_flap_trigger(
 
 # -- kind-specific invariants -------------------------------------------------
 
-def _check_kill_named(point: FleetChaosPoint, run: FleetRun) -> list[str]:
+def _check_kill_named(point: FleetChaosPoint, run: FleetRun, refs: References) -> list[str]:
     """Invariant 5: the node-kill diagnosis names the node and every
     hosted job."""
     kills = [e for e in run.report.events if e.kind == "node-kill"]
@@ -337,7 +362,7 @@ def _check_kill_named(point: FleetChaosPoint, run: FleetRun) -> list[str]:
     return violations
 
 
-def _check_grown(point: FleetChaosPoint, run: FleetRun) -> list[str]:
+def _check_grown(point: FleetChaosPoint, run: FleetRun, refs: References) -> list[str]:
     """Invariant 6: a grow point actually grew (the reference replay
     already proved the grown params bit-exact)."""
     if run.scheduler.jobs["long"].grow_log:
@@ -345,13 +370,13 @@ def _check_grown(point: FleetChaosPoint, run: FleetRun) -> list[str]:
     return ["grow point finished without a single recorded grow"]
 
 
-def _check_revoked(point: FleetChaosPoint, run: FleetRun) -> list[str]:
+def _check_revoked(point: FleetChaosPoint, run: FleetRun, refs: References) -> list[str]:
     if any(e.kind == "grow-revoked" for e in run.report.events):
         return []
     return ["in-flight kill never revoked the granted slot"]
 
 
-def _check_flap(point: FleetChaosPoint, run: FleetRun) -> list[str]:
+def _check_flap(point: FleetChaosPoint, run: FleetRun, refs: References) -> list[str]:
     violations = []
     if run.scheduler.jobs["long"].telemetry.migrations < 1:
         violations.append("flap point never migrated a learner")
@@ -370,7 +395,7 @@ def _check_flap(point: FleetChaosPoint, run: FleetRun) -> list[str]:
     return violations
 
 
-def _check_sdc(point: FleetChaosPoint, run: FleetRun) -> list[str]:
+def _check_sdc(point: FleetChaosPoint, run: FleetRun, refs: References) -> list[str]:
     """Invariant 8: every flip detected and quarantined before any
     optimizer apply, repeat strikes drain the node, hosted learners
     migrate, and fingerprinting leaves a clean fleet's event log
@@ -403,9 +428,10 @@ def _check_sdc(point: FleetChaosPoint, run: FleetRun) -> list[str]:
     ):
         if not any(e.kind == kind and "corruption" in e.text for e in events):
             violations.append(missing)
-    # Clean-fleet equivalence: same workload, faults stripped, no health
-    # monitor — the event timeline must be byte-identical with
-    # fingerprinting on and off (zero-sim-event bookkeeping).
+    # Clean-fleet equivalence: same workload and seed, faults stripped, no
+    # health monitor — the event timeline must be byte-identical with
+    # fingerprinting on and off (zero-sim-event bookkeeping).  The
+    # fingerprint-on run is the point's makespan reference.
     logs = []
     for check in (True, False):
         clean_specs = [
@@ -415,8 +441,11 @@ def _check_sdc(point: FleetChaosPoint, run: FleetRun) -> list[str]:
             )
             for j in jobs
         ]
-        clean = _run_fleet(clean_specs, point.placement, SCENARIOS["sdc"].cluster)
-        logs.append([str(e) for e in clean.report.events])
+        clean = _fault_free(
+            refs, clean_specs, point.placement, SCENARIOS["sdc"].cluster,
+            seed=run.scheduler.seed,
+        )
+        logs.append([str(e) for e in clean.events])
     if logs[0] != logs[1]:
         violations.append(
             "fingerprinting perturbed a clean fleet's event log "
@@ -588,12 +617,13 @@ def _reference_params(
     (elastic grow itself disabled, so the reference only ever does what
     the script says)."""
 
+    ref_spec = replace(
+        spec, arrival=0.0, priority=0, elastic_grow=False,
+        scripted_shrinks=tuple(shrinks), scripted_grows=tuple(grows),
+        sdc_faults=(),
+    )
+
     def build() -> np.ndarray:
-        ref_spec = replace(
-            spec, arrival=0.0, priority=0, elastic_grow=False,
-            scripted_shrinks=tuple(shrinks), scripted_grows=tuple(grows),
-            sdc_faults=(),
-        )
         job = _run_fleet([ref_spec], "pack", cluster_kw).scheduler.jobs[spec.name]
         if job.status != "finished" or job.final_params is None:
             raise RuntimeError(
@@ -602,10 +632,9 @@ def _reference_params(
             )
         return job.final_params
 
-    key = ("params", spec.seed, spec.n_learners, spec.n_steps,
-           spec.batch_per_gpu, spec.records_per_learner, spec.reducer,
-           spec.sdc_buckets, shrinks, grows)
-    return refs.get(key, build)
+    # Keyed by the solo run's inputs: every field of the spec (n_classes
+    # sets the params' shape) and the cluster.
+    return refs.get(("params", ref_spec, tuple(sorted(cluster_kw.items()))), build)
 
 
 def _check_point(
@@ -671,7 +700,7 @@ def _check_point(
     # 5, 6 and 8: the kind's own invariants, once its trigger fired.
     if "skipped" not in record:
         for check in scenario.checks:
-            violations.extend(check(point, run))
+            violations.extend(check(point, run, refs))
     # 7. No slot double-granted: every grant resolves exactly once.
     violations.extend(_audit_grow_grants(report))
     return violations
@@ -734,21 +763,23 @@ def _points(
 def _run_point(point: FleetChaosPoint, refs: References, seed: int) -> ChaosOutcome:
     scenario = SCENARIOS[point.kind]
     specs = scenario.workload(point.n_jobs)
-    # The sdc point's disturbance lives in the specs themselves; strip it
-    # so the makespan reference is genuinely fault-free.
-    ref_makespan = refs.get(
-        ("makespan", point.kind, point.placement, point.n_jobs),
-        lambda: _run_fleet(
-            [replace(s, sdc_faults=()) for s in specs], point.placement,
-            scenario.cluster, seed=seed, max_queued=scenario.max_queued,
-        ).report.makespan,
-    )
     run = _run_fleet(
         specs, point.placement, scenario.cluster,
         seed=seed, max_queued=scenario.max_queued, health=scenario.health,
         trigger=None if scenario.trigger is None
         else partial(scenario.trigger, point),
     )
+    # The sdc point's disturbance lives in the specs themselves; strip it
+    # so the makespan reference is genuinely fault-free.  A point with no
+    # disturbance at all (burst-arrival) is its own reference.
+    clean = [replace(s, sdc_faults=()) for s in specs]
+    undisturbed = (
+        scenario.trigger is None and scenario.health is None and clean == specs
+    )
+    ref_makespan = _fault_free(
+        refs, clean, point.placement, scenario.cluster, seed=seed,
+        max_queued=scenario.max_queued, run=run if undisturbed else None,
+    ).makespan
     return ChaosOutcome(
         point, _check_point(point, scenario, run, ref_makespan, refs),
         fired="skipped" not in run.record, makespan=run.report.makespan,

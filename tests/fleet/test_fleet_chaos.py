@@ -1,14 +1,22 @@
 """Fleet chaos sweep: the robustness invariants under disturbance."""
 
+from collections import Counter
+
 import pytest
 
-from repro.fleet import fleet_chaos_sweep
+import repro.chaos
+import repro.fleet.chaos as fleet_chaos
+from repro.chaos import References
+from repro.fleet import JobSpec, fleet_chaos_sweep
 from repro.fleet.chaos import (
     FLEET_KINDS,
     GROW_KINDS,
+    SCENARIOS,
     SDC_KINDS,
     FleetChaosPoint,
     _points,
+    _reference_params,
+    _run_fleet,
 )
 
 
@@ -90,6 +98,75 @@ def test_full_point_set_covers_node_kill_cross_product():
             for hosted in (1, 2):
                 assert (placement, n_jobs, hosted) in kills
     assert FleetChaosPoint("node-kill", "pack", 3, 1).label()
+
+
+class _Unshared(References):
+    """A reference cache that rebuilds every lookup: the sweep as if no
+    two runs shared a fault-free result."""
+
+    def get(self, key, build):
+        return build()
+
+
+def _record(report):
+    return [
+        (o.point.label(), o.makespan, o.ref_makespan, o.violations, o.fired,
+         [str(e) for e in o.result.events])
+        for o in report.outcomes
+    ]
+
+
+def test_shared_references_match_unshared_sweep(monkeypatch):
+    shared = _record(fleet_chaos_sweep(smoke=True))
+    monkeypatch.setattr(repro.chaos, "References", _Unshared)
+    assert _record(fleet_chaos_sweep(smoke=True)) == shared
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_untriggered_fleet_run_repeats(monkeypatch, seed):
+    inputs = Counter()
+
+    def recording(specs, placement, cluster_kw, **kw):
+        if kw.get("trigger") is None:
+            inputs[(tuple(specs), placement, tuple(sorted(cluster_kw.items())),
+                    kw.get("seed", 0), kw.get("max_queued"), kw.get("health"))] += 1
+        return _run_fleet(specs, placement, cluster_kw, **kw)
+
+    monkeypatch.setattr(fleet_chaos, "_run_fleet", recording)
+    report = fleet_chaos_sweep(smoke=True, seed=seed)
+    assert report.all_ok, "\n" + report.format()
+    repeated = {key: n for key, n in inputs.items() if n > 1}
+    assert inputs and not repeated
+    # Every multi-job run is at the sweep's seed (solo lineage replays
+    # always run at seed 0).
+    assert {key[3] for key in inputs if len(key[0]) > 1} == {seed}
+
+
+def test_undisturbed_point_is_its_own_reference():
+    report = fleet_chaos_sweep(kinds=("burst-arrival",), smoke=True, seed=1)
+    scenario = SCENARIOS["burst-arrival"]
+    for outcome in report.outcomes:
+        fresh = _run_fleet(
+            scenario.workload(outcome.point.n_jobs), outcome.point.placement,
+            scenario.cluster, seed=1, max_queued=scenario.max_queued,
+        ).report
+        assert outcome.ref_makespan == fresh.makespan == outcome.makespan
+        assert [str(e) for e in outcome.result.events] == [
+            str(e) for e in fresh.events
+        ]
+
+
+def test_reference_params_keyed_by_every_input():
+    refs = References()
+    cluster = SCENARIOS["grow-in-flight-kill"].cluster
+    shapes = {
+        n_classes: _reference_params(
+            JobSpec(name="solo", n_steps=2, seed=7, n_classes=n_classes),
+            (), (), cluster, refs,
+        ).shape
+        for n_classes in (3, 5)
+    }
+    assert shapes[3] != shapes[5]
 
 
 @pytest.mark.slow
