@@ -40,9 +40,9 @@ learners, dataset = int(sys.argv[1]), DATASETS[sys.argv[2]]
 calls = [0]
 reallocate = Fabric._reallocate
 
-def counted(self):
+def counted(self, *args):  # older trees' _reallocate takes no argument
     calls[0] += 1
-    reallocate(self)
+    reallocate(self, *args)
 
 Fabric._reallocate = counted
 simulate_shuffle(4, dataset)  # warm imports and the kernel

@@ -902,17 +902,6 @@ def _bind(bufmap: dict[str, Buffer], name: str | None, lo: int, hi: int) -> Buff
     return base.view(lo, hi)
 
 
-def _resource_class(step: Step) -> str:
-    """The exclusive resource a step occupies: the GPU or the network/CPU.
-
-    Strand fusion must not chain across this boundary — a fused strand is
-    one linear chain, and chaining a network step behind a compute step (or
-    vice versa) would serialize the two resources even when the DAG allows
-    them to overlap.
-    """
-    return "gpu" if isinstance(step, (ComputeStep, OptimStep)) else "net"
-
-
 def _partition_strands(steps):
     """Partition one rank's steps (sid order) into maximal linear chains.
 
@@ -925,31 +914,38 @@ def _partition_strands(steps):
     process per rank) and therefore their exact resource-grant ordering at
     equal timestamps — a requirement for bit-identical Figure 5/6 timings.
 
-    Fusion never crosses the GPU/network resource boundary
-    (:func:`_resource_class`): compute and communication stay in separate
-    strands so overlap falls out of the dependency structure.  Schedules
-    without compute steps partition exactly as before.
+    Fusion never crosses the GPU/network resource boundary: a fused strand
+    is one linear chain, so chaining a network step behind a compute step
+    (or vice versa) would serialize the two resources even where the DAG
+    lets them overlap.  Compute and communication stay in separate strands
+    and overlap falls out of the dependency structure.  Schedules without
+    compute steps partition exactly as before.
 
     Returns a list of strands; each strand is a list of
-    ``(step, cross_dep_sids)`` pairs.
+    ``(step, cross_dep_sids)`` pairs.  (``tests/mpi/partition_reference.py``
+    keeps the comprehension-based version this loop must equal.)
     """
     strands: list[list[tuple[Step, list[int]]]] = []
-    tails: dict[int, int] = {}  # sid of a strand's last step -> strand index
-    res: dict[int, str] = {}    # sid -> resource class (same-rank deps only)
+    # sid of a strand's last step -> (that strand, whether it is on the GPU)
+    tails: dict[int, tuple[list[tuple[Step, list[int]]], bool]] = {}
     for step in steps:
-        mine = _resource_class(step)
-        res[step.sid] = mine
-        fusable = [d for d in step.deps if d in tails and res.get(d) == mine]
-        if fusable:
-            link = max(fusable)
-            idx = tails.pop(link)
-            cross = [d for d in step.deps if d != link]
+        gpu = isinstance(step, (ComputeStep, OptimStep))
+        deps = step.deps
+        link = -1  # the largest same-class tail among the deps
+        for d in deps:
+            if d > link:
+                tail = tails.get(d)
+                if tail is not None and tail[1] is gpu:
+                    link = d
+        if link < 0:
+            strand = []
+            strands.append(strand)
+            cross = list(deps)
         else:
-            idx = len(strands)
-            strands.append([])
-            cross = list(step.deps)
-        strands[idx].append((step, cross))
-        tails[step.sid] = idx
+            strand = tails.pop(link)[0]
+            cross = [d for d in deps if d != link] if len(deps) > 1 else []
+        strand.append((step, cross))
+        tails[step.sid] = (strand, gpu)
     return strands
 
 

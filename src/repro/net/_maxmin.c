@@ -1,4 +1,5 @@
-/* Fluid state and max-min fair rates of the flow fabric (repro.net.fabric).
+/* Fluid state and max-min fair rates of the flow fabric (repro.net.fabric),
+ * built as the CPython extension module repro.net._maxmin.
  *
  * One State holds every active flow of one Fabric: its path, rate,
  * remaining bytes and size, in slot arrays; the active flows on each link,
@@ -14,11 +15,18 @@
  * of its links once, in path order, with the same clamp, and writes every
  * product and difference as its own operation.
  *
- * The Python side validates every link index before it reaches this file.
- * Functions that allocate return -1 (or NULL) when out of memory, and
- * leave the state as it was.
+ * The mm_* functions trust their arguments; the Kernel type at the end of
+ * this file, the only way in from Python, checks every path id and link
+ * index first and raises IndexError without touching the state.  Functions
+ * that allocate return -1 (or NULL) when out of memory, and leave the state
+ * as it was.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <limits.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -66,7 +74,7 @@ static int grow(void *pp, size_t elem, int n) {
     return 0;
 }
 
-void mm_free(State *s) {
+static void mm_free(State *s) {
     if (!s) return;
     for (int li = 0; li < s->n_links; li++) free(s->flows ? s->flows[li] : NULL);
     void *arrays[] = {
@@ -80,7 +88,7 @@ void mm_free(State *s) {
     free(s);
 }
 
-State *mm_new(int n_links, const double *bandwidth, double cap) {
+static State *mm_new(int n_links, const double *bandwidth, double cap) {
     State *s = calloc(1, sizeof *s);
     if (!s) return NULL;
     size_t n = (size_t)n_links + 1;
@@ -111,7 +119,7 @@ State *mm_new(int n_links, const double *bandwidth, double cap) {
 }
 
 /* Intern a path; returns its id. */
-int mm_add_path(State *s, const int *links, int len) {
+static int mm_add_path(State *s, const int *links, int len) {
     if (s->n_paths == s->paths_cap) {
         int cap = s->paths_cap ? 2 * s->paths_cap : 16;
         if (grow(&s->path_off, sizeof(int), cap) || grow(&s->path_len, sizeof(int), cap))
@@ -139,7 +147,7 @@ static void mark_dirty(State *s, int li) {
 }
 
 /* Account progress at the current rates up to ``now``. */
-void mm_progress(State *s, double now) {
+static void mm_progress(State *s, double now) {
     double dt = now - s->last_update;
     if (dt > 0) {
         for (int i = 0; i < s->n_active; i++) {
@@ -170,7 +178,7 @@ static int grow_slots(State *s) {
 
 /* Progress to ``now``, then put a flow of ``nbytes`` on path ``p`` on the
    wire, last in activation order; returns its slot. */
-int mm_activate(State *s, double now, int p, double nbytes) {
+static int mm_activate(State *s, double now, int p, double nbytes) {
     const int *links = s->path_links + s->path_off[p];
     int len = s->path_len[p];
     if (!s->n_free && grow_slots(s)) return -1;
@@ -199,7 +207,7 @@ int mm_activate(State *s, double now, int p, double nbytes) {
 }
 
 /* A link's effective capacity changed. */
-void mm_set_bandwidth(State *s, int li, double bandwidth) {
+static void mm_set_bandwidth(State *s, int li, double bandwidth) {
     s->bandwidth[li] = bandwidth;
     mark_dirty(s, li);
 }
@@ -317,7 +325,7 @@ static void solve(State *s, int k) {
 /* Re-solve the flows coupled to dirty links; returns the time to the next
    completion at the new rates (NaN with no active flow, INFINITY if no
    flow has a positive rate). */
-double mm_reallocate(State *s) {
+static double mm_reallocate(State *s) {
     if (s->n_dirty) solve(s, coupled_flows(s));
     if (!s->n_active) return NAN;
     double horizon = INFINITY;
@@ -348,8 +356,8 @@ static void unlink_flow(State *s, int f) {
 
 /* Progress to ``now`` and take the finished flows off the wire, in
    activation order; with none finished, the flow closest to done (a
-   numerical guard).  Returns their number; mm_finished lists their slots. */
-int mm_finish(State *s, double now) {
+   numerical guard).  Returns their number; s->finished lists their slots. */
+static int mm_finish(State *s, double now) {
     mm_progress(s, now);
     int n = 0, kept = 0;
     for (int i = 0; i < s->n_active; i++) {
@@ -373,16 +381,203 @@ int mm_finish(State *s, double now) {
     return n;
 }
 
-const int *mm_finished(State *s) { return s->finished; }
+/* -- The Python binding ---------------------------------------------------
+ *
+ * One Kernel object owns one State and frees it when it is collected.  Only
+ * ints and floats cross: path ids, link indices and slots are ints; times,
+ * byte counts, bandwidths and rates are floats.  The hot methods take their
+ * arguments without an argument tuple (METH_O, METH_NOARGS, METH_FASTCALL).
+ */
 
-int mm_n_active(State *s) { return s->n_active; }
+typedef struct {
+    PyObject_HEAD
+    State *s;
+    PyObject *weakrefs;
+} Kernel;
 
-/* The active flows' slots, rates and remaining bytes, in activation order. */
-void mm_active(State *s, int *slots, double *rate, double *remaining) {
-    for (int i = 0; i < s->n_active; i++) {
-        int f = s->active[i];
-        slots[i] = f;
-        rate[i] = s->rate[f];
-        remaining[i] = s->remaining[f];
+/* ``o`` as an int in [0, n), else IndexError (TypeError for a non-int). */
+static int as_index(PyObject *o, int n, const char *what, int *out) {
+    long v = PyLong_AsLong(o);
+    if (v == -1 && PyErr_Occurred()) return -1;
+    if (v < 0 || v >= n) {
+        PyErr_Format(PyExc_IndexError, "%s %ld out of range [0, %d)", what, v, n);
+        return -1;
     }
+    *out = (int)v;
+    return 0;
+}
+
+static int as_double(PyObject *o, double *out) {
+    double v = PyFloat_AsDouble(o);
+    if (v == -1.0 && PyErr_Occurred()) return -1;
+    *out = v;
+    return 0;
+}
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
+    if (nargs == want) return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+static PyObject *Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"bandwidth", "cap", NULL};
+    PyObject *arg;
+    double cap;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Od:Kernel", kwlist, &arg, &cap))
+        return NULL;
+    PyObject *seq = PySequence_Fast(arg, "bandwidth must be a sequence of floats");
+    if (!seq) return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    Kernel *self = NULL;
+    double *bandwidth = n < INT_MAX ? PyMem_Malloc((size_t)(n ? n : 1) * sizeof(double)) : NULL;
+    if (!bandwidth) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (as_double(PySequence_Fast_GET_ITEM(seq, i), &bandwidth[i])) goto done;
+    self = (Kernel *)type->tp_alloc(type, 0);
+    if (self && !(self->s = mm_new((int)n, bandwidth, cap))) {
+        Py_CLEAR(self);
+        PyErr_NoMemory();
+    }
+done:
+    PyMem_Free(bandwidth);
+    Py_DECREF(seq);
+    return (PyObject *)self;
+}
+
+static void Kernel_dealloc(Kernel *self) {
+    if (self->weakrefs) PyObject_ClearWeakRefs((PyObject *)self);
+    mm_free(self->s);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *Kernel_add_path(Kernel *self, PyObject *arg) {
+    PyObject *seq = PySequence_Fast(arg, "a path must be a sequence of link indices");
+    if (!seq) return NULL;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
+    PyObject *result = NULL;
+    int *links = len < INT_MAX - self->s->n_path_links
+        ? PyMem_Malloc((size_t)(len ? len : 1) * sizeof(int)) : NULL;
+    if (!links) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (as_index(PySequence_Fast_GET_ITEM(seq, i), self->s->n_links, "link index", &links[i]))
+            goto done;
+    int p = mm_add_path(self->s, links, (int)len);
+    result = p < 0 ? PyErr_NoMemory() : PyLong_FromLong(p);
+done:
+    PyMem_Free(links);
+    Py_DECREF(seq);
+    return result;
+}
+
+static PyObject *Kernel_activate(Kernel *self, PyObject *const *args, Py_ssize_t nargs) {
+    double now, nbytes;
+    int p;
+    if (check_nargs("activate", nargs, 3) || as_double(args[0], &now)
+        || as_index(args[1], self->s->n_paths, "path id", &p) || as_double(args[2], &nbytes))
+        return NULL;
+    int f = mm_activate(self->s, now, p, nbytes);
+    return f < 0 ? PyErr_NoMemory() : PyLong_FromLong(f);
+}
+
+static PyObject *Kernel_set_bandwidth(Kernel *self, PyObject *const *args, Py_ssize_t nargs) {
+    int li;
+    double bandwidth;
+    if (check_nargs("set_bandwidth", nargs, 2)
+        || as_index(args[0], self->s->n_links, "link index", &li) || as_double(args[1], &bandwidth))
+        return NULL;
+    mm_set_bandwidth(self->s, li, bandwidth);
+    Py_RETURN_NONE;
+}
+
+static PyObject *Kernel_progress(Kernel *self, PyObject *arg) {
+    double now;
+    if (as_double(arg, &now)) return NULL;
+    mm_progress(self->s, now);
+    Py_RETURN_NONE;
+}
+
+static PyObject *Kernel_reallocate(Kernel *self, PyObject *unused) {
+    return PyFloat_FromDouble(mm_reallocate(self->s));
+}
+
+static PyObject *Kernel_finish(Kernel *self, PyObject *arg) {
+    double now;
+    if (as_double(arg, &now)) return NULL;
+    int n = mm_finish(self->s, now);
+    PyObject *slots = PyTuple_New(n);
+    for (int i = 0; slots && i < n; i++) {
+        PyObject *slot = PyLong_FromLong(self->s->finished[i]);
+        if (!slot) Py_CLEAR(slots);
+        else PyTuple_SET_ITEM(slots, i, slot);
+    }
+    return slots;
+}
+
+static PyObject *Kernel_active(Kernel *self, PyObject *unused) {
+    State *s = self->s;
+    PyObject *flows = PyTuple_New(s->n_active);
+    for (int i = 0; flows && i < s->n_active; i++) {
+        int f = s->active[i];
+        PyObject *flow = Py_BuildValue("(idd)", f, s->rate[f], s->remaining[f]);
+        if (!flow) Py_CLEAR(flows);
+        else PyTuple_SET_ITEM(flows, i, flow);
+    }
+    return flows;
+}
+
+static PyMethodDef Kernel_methods[] = {
+    {"add_path", (PyCFunction)Kernel_add_path, METH_O,
+     "add_path(links) -> int: intern a path (link indices); returns its id."},
+    {"activate", (PyCFunction)(void (*)(void))Kernel_activate, METH_FASTCALL,
+     "activate(now, path_id, nbytes) -> int: progress to now, then put a flow\n"
+     "on the wire, last in activation order; returns its slot."},
+    {"set_bandwidth", (PyCFunction)(void (*)(void))Kernel_set_bandwidth, METH_FASTCALL,
+     "set_bandwidth(link, bandwidth): a link's effective capacity changed."},
+    {"progress", (PyCFunction)Kernel_progress, METH_O,
+     "progress(now): account progress at the current rates up to now."},
+    {"reallocate", (PyCFunction)Kernel_reallocate, METH_NOARGS,
+     "reallocate() -> float: re-solve the flows coupled to changed links; the\n"
+     "time to the next completion (nan with no flow, inf with no positive rate)."},
+    {"finish", (PyCFunction)Kernel_finish, METH_O,
+     "finish(now) -> tuple: progress to now and take the finished flows off the\n"
+     "wire; their slots in activation order (with none done, the closest flow)."},
+    {"active", (PyCFunction)Kernel_active, METH_NOARGS,
+     "active() -> tuple: (slot, rate, remaining) of each active flow, in\n"
+     "activation order."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject KernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net._maxmin.Kernel",
+    .tp_basicsize = sizeof(Kernel),
+    .tp_dealloc = (destructor)Kernel_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Kernel(bandwidth, cap): the fluid state of one fabric's links\n"
+              "(capacities in link order) with per-flow rate limit cap.",
+    .tp_weaklistoffset = offsetof(Kernel, weakrefs),
+    .tp_methods = Kernel_methods,
+    .tp_new = Kernel_new,
+};
+
+static int exec_module(PyObject *module) {
+    return PyModule_AddType(module, &KernelType);
+}
+
+static PyModuleDef_Slot module_slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
+
+static struct PyModuleDef module_def = {
+    PyModuleDef_HEAD_INIT, .m_name = "_maxmin",
+    .m_doc = "The fabric's max-min kernel (repro.net.fabric).", .m_slots = module_slots,
+};
+
+PyMODINIT_FUNC PyInit__maxmin(void) {
+    return PyModuleDef_Init(&module_def);
 }

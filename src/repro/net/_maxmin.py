@@ -1,45 +1,38 @@
 """Build and load the fabric's compiled max-min kernel, ``_maxmin.c``.
 
-The kernel is compiled on first use with the C compiler that ``sysconfig``
-reports (falling back to ``cc``) and cached as
-``__pycache__/_maxmin.<hash>.so`` next to this file, or under the per-user
-cache directory when that one is not writable.  The hash covers the source
-and the flags, so an edited kernel is rebuilt and an unchanged one never is.
-The flags keep the floating point strict (DESIGN.md §4n): ``-ffp-contract=off``
-forbids fused multiply-adds, and ``-ffast-math`` is never used.
+The kernel is a CPython extension module with one type, ``Kernel``: the
+fluid state of one fabric's flows, its max-min solve and its completion
+scan, behind methods that take and return only ints and floats (DESIGN.md
+§4n).  It is compiled on first use with the C compiler that ``sysconfig``
+reports (falling back to ``cc``) against this interpreter's headers
+(``Python.h``, e.g. from ``python3-dev``), and cached as
+``__pycache__/_maxmin.<hash><EXT_SUFFIX>`` next to this file, or under the
+per-user cache directory when that one is not writable.  ``EXT_SUFFIX`` is
+this interpreter's extension suffix, the first of
+``importlib.machinery.EXTENSION_SUFFIXES``, read there rather than from
+``sysconfig``, whose import would cost every process ~1.5 ms and ~0.25 MB
+of memory just to find the cached module.  The hash
+covers the source, the flags and that suffix, so an edited kernel or
+another Python version is rebuilt and an unchanged one never is.
+The flags keep the floating point strict: ``-ffp-contract=off`` forbids
+fused multiply-adds, and ``-ffast-math`` is never used.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import os
 import shutil
 import tempfile
+from importlib import machinery, util
 from pathlib import Path
+from types import ModuleType
 
 __all__ = ["CFLAGS", "SOURCE", "build", "load"]
 
 SOURCE = Path(__file__).with_name("_maxmin.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-_P, _INT, _DOUBLE = ctypes.c_void_p, ctypes.c_int, ctypes.c_double
-_INTS, _DOUBLES = ctypes.POINTER(_INT), ctypes.POINTER(_DOUBLE)
-#: name: (restype, argtypes) of every kernel function.
-_SIGNATURES = {
-    "mm_new": (_P, [_INT, _DOUBLES, _DOUBLE]),
-    "mm_free": (None, [_P]),
-    "mm_add_path": (_INT, [_P, _INTS, _INT]),
-    "mm_activate": (_INT, [_P, _DOUBLE, _INT, _DOUBLE]),
-    "mm_set_bandwidth": (None, [_P, _INT, _DOUBLE]),
-    "mm_progress": (None, [_P, _DOUBLE]),
-    "mm_reallocate": (_DOUBLE, [_P]),
-    "mm_finish": (_INT, [_P, _DOUBLE]),
-    "mm_finished": (_INTS, [_P]),
-    "mm_n_active": (_INT, [_P]),
-    "mm_active": (None, [_P, _INTS, _DOUBLES, _DOUBLES]),
-}
 
 
 def compiler() -> list[str]:
@@ -73,21 +66,32 @@ def cache_dir() -> Path:
 
 
 def build(source: Path = SOURCE, directory: Path | None = None) -> Path:
-    """The shared library built from ``source``, compiling only when no
-    library for this source and these flags is cached in ``directory``."""
-    digest = hashlib.sha256(source.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()
+    """The extension module built from ``source``, compiling only when no
+    module for this source, these flags and this interpreter's extension
+    suffix is cached in ``directory``."""
+    suffix = machinery.EXTENSION_SUFFIXES[0]
+    key = source.read_bytes() + " ".join(CFLAGS).encode() + suffix.encode()
     directory = directory or cache_dir()
-    target = directory / f"{source.stem}.{digest[:16]}.so"
+    target = directory / f"{source.stem}.{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
     if target.exists():
         return target
     import subprocess  # compile-time only
+    import sysconfig
 
+    include = sysconfig.get_path("include")
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        raise RuntimeError(
+            f"repro.net needs the Python headers to build its max-min kernel "
+            f"({source.name}), but there is no Python.h in {include}; install "
+            "the Python development package (e.g. python3-dev)"
+        )
     command = compiler()
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{target.name}.")
     os.close(fd)
     try:
         done = subprocess.run(
-            [*command, *CFLAGS, "-o", tmp, str(source)], capture_output=True, text=True
+            [*command, *CFLAGS, f"-I{include}", "-o", tmp, str(source)],
+            capture_output=True, text=True,
         )
         if done.returncode:
             raise RuntimeError(
@@ -101,11 +105,10 @@ def build(source: Path = SOURCE, directory: Path | None = None) -> Path:
 
 
 @functools.cache
-def load() -> ctypes.PyDLL:
-    """The kernel, built if needed; its functions keep the GIL held."""
-    lib = ctypes.PyDLL(str(build()))
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        function = getattr(lib, name)
-        function.restype = restype
-        function.argtypes = argtypes
-    return lib
+def load() -> ModuleType:
+    """The kernel module, built if needed; ``load().Kernel`` is its type."""
+    path = str(build())
+    loader = machinery.ExtensionFileLoader(__name__, path)
+    module = util.module_from_spec(util.spec_from_file_location(__name__, path, loader=loader))
+    loader.exec_module(module)
+    return module

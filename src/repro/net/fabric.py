@@ -15,10 +15,12 @@ each other's max-min rates.  The fabric therefore keeps per-link flow lists
 up to date and re-solves only the flows coupled to a link that changed (a
 flow arrived, a flow left, or the link was rescaled); every other flow
 keeps the rate a full solve would give it again.  That fluid state and the
-solve live in a small compiled kernel (``_maxmin.c``, built on first use),
-which replays the full solve's floating-point operations in the same order,
-so the rates are bit-identical to re-solving everything in pure Python
-(DESIGN.md, repro.net).
+solve live in a small compiled kernel: the ``Kernel`` type of the C
+extension ``_maxmin.c``, built on first use, which takes and returns only
+ints and floats and replays the full solve's floating-point operations in
+the same order, so the rates are bit-identical to re-solving everything in
+pure Python (DESIGN.md, repro.net).  The fabric keeps the ``Flow`` objects,
+events, timers and statistics.
 
 The fabric is driven by the discrete-event :class:`~repro.sim.Engine`: flow
 starts, reallocations and the next completion are engine calls
@@ -28,10 +30,8 @@ completion, and each transfer's event fires when its last byte arrives.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import operator
-import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -122,16 +122,10 @@ class Fabric:
         self._realloc_pending = False
         # Effective capacities: nominal times any live scale_links factor.
         self._bandwidth = [link.params.bandwidth for link in topology.links]
-        n_links = len(self._bandwidth)
         # The kernel's fluid state, freed with the fabric; active flows by
         # kernel slot; kernel ids of the paths seen so far, and each path's
         # propagation latency by id.
-        self._lib = lib = _maxmin.load()
-        state = lib.mm_new(n_links, (ctypes.c_double * n_links)(*self._bandwidth), per_flow_cap)
-        if not state:
-            raise MemoryError("cannot allocate the fabric's max-min state")
-        self._state = ctypes.c_void_p(state)
-        self._finalizer = weakref.finalize(self, lib.mm_free, self._state)
+        self._kernel = _maxmin.load().Kernel(self._bandwidth, per_flow_cap)
         self._flows: dict[int, Flow] = {}
         self._path_ids: dict[tuple[int, ...], int] = {}
         self._path_latency: list[float] = []
@@ -141,13 +135,8 @@ class Fabric:
     def active_flows(self) -> tuple[Flow, ...]:
         """The flows on the wire, in activation order, with their current
         rates and remaining bytes."""
-        lib, state = self._lib, self._state
-        n = lib.mm_n_active(state)
-        slots = (ctypes.c_int * n)()
-        rates, remaining = (ctypes.c_double * n)(), (ctypes.c_double * n)()
-        lib.mm_active(state, slots, rates, remaining)
         flows = []
-        for slot, rate, left in zip(slots, rates, remaining):
+        for slot, rate, left in self._kernel.active():
             flow = self._flows[slot]
             flow.rate, flow.remaining = rate, left
             flows.append(flow)
@@ -207,11 +196,11 @@ class Fabric:
             if not 0 <= li < n_links:
                 raise ValueError(f"link index {li} out of range [0, {n_links})")
         links = self.topology.links
-        lib, state = self._lib, self._state
+        kernel = self._kernel
         for li in indices:
             bandwidth = self._bandwidth[li] = links[li].params.bandwidth * factor
-            lib.mm_set_bandwidth(state, li, bandwidth)
-        lib.mm_progress(state, self.engine.now)
+            kernel.set_bandwidth(li, bandwidth)
+        kernel.progress(self.engine.now)
         self._request_reallocate()
 
     def scale_host_links(self, host_rank: int, factor: float) -> None:
@@ -233,10 +222,7 @@ class Fabric:
                 f"route {path} uses a link added after the fabric was built "
                 f"(the fabric simulates links [0, {n_links}))"
             )
-        links = (ctypes.c_int * len(path))(*path)
-        path_id = self._lib.mm_add_path(self._state, links, len(path))
-        if path_id < 0:
-            raise MemoryError("cannot grow the fabric's max-min state")
+        path_id = self._kernel.add_path(path)
         self._path_ids[path] = path_id
         self._path_latency.append(self.topology.path_latency(path))
         return path_id
@@ -253,10 +239,7 @@ class Fabric:
 
     def _activate(self, start: tuple[Flow, int]) -> None:
         flow, path_id = start
-        slot = self._lib.mm_activate(self._state, self.engine.now, path_id, flow.nbytes)
-        if slot < 0:
-            raise MemoryError("cannot grow the fabric's max-min state")
-        self._flows[slot] = flow
+        self._flows[self._kernel.activate(self.engine.now, path_id, flow.nbytes)] = flow
         self._request_reallocate()
 
     def _request_reallocate(self) -> None:
@@ -265,11 +248,7 @@ class Fabric:
         if self._realloc_pending:
             return
         self._realloc_pending = True
-        self.engine.call(self._run_reallocate)
-
-    def _run_reallocate(self, _arg: None) -> None:
-        self._realloc_pending = False
-        self._reallocate()
+        self.engine.call(self._reallocate)
 
     def _finish(self, flow: Flow) -> None:
         self.stats.transfers_completed += 1
@@ -280,10 +259,12 @@ class Fabric:
             )
         flow.event.succeed(flow)
 
-    def _reallocate(self) -> None:
-        """Re-solve the flows coupled to changed links, then reschedule the
-        next completion (one timer call; older ones become no-ops)."""
-        horizon = self._lib.mm_reallocate(self._state)
+    def _reallocate(self, _arg: None) -> None:
+        """The engine call :meth:`_request_reallocate` schedules: re-solve the
+        flows coupled to changed links, then reschedule the next completion
+        (one timer call; older ones become no-ops)."""
+        self._realloc_pending = False
+        horizon = self._kernel.reallocate()
         self._timer += 1
         if horizon != horizon:  # NaN: no active flow
             return
@@ -292,9 +273,7 @@ class Fabric:
     def _on_timer(self, timer: int) -> None:
         if timer != self._timer:
             return  # superseded by a later reallocation
-        lib, state = self._lib, self._state
-        n = lib.mm_finish(state, self.engine.now)
         flows = self._flows
-        for slot in lib.mm_finished(state)[:n]:
+        for slot in self._kernel.finish(self.engine.now):
             self._finish(flows.pop(slot))
         self._request_reallocate()

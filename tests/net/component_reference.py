@@ -3,12 +3,12 @@ kernel (``repro/net/_maxmin.c``) replaced.
 
 :class:`ComponentReference` keeps the same state as the kernel — active
 flows in activation order, per-link flow lists, a dirty-link set — and
-offers the kernel's operations under the kernel's names, minus the state
-argument: activate a flow, rescale a link, account progress, reallocate
-(walk the coupled flows, progressive filling, completion horizon) and
-finish (the finished flows in activation order, or the closest one).  The
-kernel must match it bit for bit; ``test_fabric_kernel.py`` drives both
-through the same calls.
+offers the operations of the kernel's ``Kernel`` type under its method
+names: intern a path, activate a flow, rescale a link, account progress,
+reallocate (walk the coupled flows, progressive filling, completion
+horizon) and finish (the finished flows in activation order, or the
+closest one).  The kernel must match it bit for bit;
+``test_fabric_kernel.py`` drives both through the same calls.
 """
 
 from __future__ import annotations
@@ -49,24 +49,24 @@ class ComponentReference:
         self.finished: list[int] = []
         self.guarded = False  # the last finish took the closest flow
 
-    def mm_add_path(self, links: Sequence[int], length: int) -> int:
-        self.paths.append(tuple(links[:length]))
+    def add_path(self, links: Sequence[int]) -> int:
+        self.paths.append(tuple(links))
         return len(self.paths) - 1
 
-    def mm_set_bandwidth(self, link: int, bandwidth: float) -> None:
+    def set_bandwidth(self, link: int, bandwidth: float) -> None:
         self.bandwidth[link] = bandwidth
         self.dirty.add(link)
 
-    def mm_progress(self, now: float) -> None:
+    def progress(self, now: float) -> None:
         dt = now - self.last_update
         if dt > 0:
             for flow in self.active.values():
                 flow.remaining -= flow.rate * dt
         self.last_update = now
 
-    def mm_activate(self, now: float, path_id: int, nbytes: float) -> int:
+    def activate(self, now: float, path_id: int, nbytes: float) -> int:
         """Returns a handle (activation number), not a kernel slot."""
-        self.mm_progress(now)
+        self.progress(now)
         flow = RefFlow(self.activations, self.paths[path_id], nbytes, nbytes, self.activations)
         self.activations += 1
         self.active[flow.handle] = flow
@@ -75,7 +75,7 @@ class ComponentReference:
         self.dirty.update(flow.path)
         return flow.handle
 
-    def mm_reallocate(self) -> float:
+    def reallocate(self) -> float:
         """Time to the next completion (NaN with no active flow)."""
         if self.dirty:
             self.solve(self.coupled_flows())
@@ -83,10 +83,10 @@ class ComponentReference:
             return math.nan
         return min([f.remaining / f.rate for f in self.active.values() if f.rate > 0])
 
-    def mm_finish(self, now: float) -> int:
-        """Take the finished flows off the wire; their handles, in activation
-        order, are left in :attr:`finished`."""
-        self.mm_progress(now)
+    def finish(self, now: float) -> list[int]:
+        """Take the finished flows off the wire; returns their handles, in
+        activation order (also left in :attr:`finished`)."""
+        self.progress(now)
         finished = [
             f for f in self.active.values() if f.remaining <= BYTES_EPS * f.nbytes
         ]
@@ -100,7 +100,7 @@ class ComponentReference:
                 self.link_flows[li].remove(flow)
             self.dirty.update(flow.path)
         self.finished = [f.handle for f in finished]
-        return len(finished)
+        return self.finished
 
     def snapshot(self) -> list[tuple[int, float, float]]:
         """(handle, rate, remaining) of the active flows, activation order."""

@@ -1,5 +1,5 @@
 """The compiled max-min kernel against its pure-Python reference, and the
-kernel's build, cache and lifetime.
+kernel's argument checks, build, cache and lifetime.
 
 Every kernel call goes through :class:`Tee`, which makes the same call on
 ``component_reference.ComponentReference`` and asserts that the rates,
@@ -7,12 +7,13 @@ remaining bytes, completion horizon and finished-flow order agree bit for
 bit (``float.hex``), after every call.
 """
 
-import ctypes
 import gc
 import math
+import re
 import shutil
 import subprocess
 import sysconfig
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,74 +31,61 @@ def bits(x: float) -> str:
 
 
 class Tee:
-    """The kernel's function table, checked against the reference."""
+    """A ``Kernel``'s methods, checked against the reference."""
 
-    def __init__(self, lib, ref: ComponentReference):
-        self.lib = lib
+    def __init__(self, kernel, ref: ComponentReference):
+        self.kernel = kernel
         self.ref = ref
         self.handle: dict[int, int] = {}  # kernel slot -> reference handle
         self.guards = 0
+        self.finished: tuple[int, ...] = ()  # the last finish's slots
 
-    def snapshot(self, state) -> list[tuple[int, str, str]]:
-        n = self.lib.mm_n_active(state)
-        slots, rates, left = (ctypes.c_int * n)(), (ctypes.c_double * n)(), (ctypes.c_double * n)()
-        self.lib.mm_active(state, slots, rates, left)
-        return [(self.handle[s], bits(r), bits(x)) for s, r, x in zip(slots, rates, left)]
+    def check(self) -> None:
+        got = [(self.handle[s], bits(r), bits(x)) for s, r, x in self.kernel.active()]
+        assert got == [(h, bits(r), bits(x)) for h, r, x in self.ref.snapshot()]
 
-    def check(self, state) -> None:
-        want = [(h, bits(r), bits(x)) for h, r, x in self.ref.snapshot()]
-        assert self.snapshot(state) == want
-
-    def mm_add_path(self, state, links, length):
-        path_id = self.lib.mm_add_path(state, links, length)
-        assert self.ref.mm_add_path(list(links), length) == path_id
+    def add_path(self, links):
+        path_id = self.kernel.add_path(links)
+        assert self.ref.add_path(links) == path_id
         return path_id
 
-    def mm_set_bandwidth(self, state, link, bandwidth):
-        self.lib.mm_set_bandwidth(state, link, bandwidth)
-        self.ref.mm_set_bandwidth(link, bandwidth)
+    def set_bandwidth(self, link, bandwidth):
+        self.kernel.set_bandwidth(link, bandwidth)
+        self.ref.set_bandwidth(link, bandwidth)
 
-    def mm_progress(self, state, now):
-        self.lib.mm_progress(state, now)
-        self.ref.mm_progress(now)
-        self.check(state)
+    def progress(self, now):
+        self.kernel.progress(now)
+        self.ref.progress(now)
+        self.check()
 
-    def mm_activate(self, state, now, path_id, nbytes):
-        slot = self.lib.mm_activate(state, now, path_id, nbytes)
-        self.handle[slot] = self.ref.mm_activate(now, path_id, nbytes)
-        self.check(state)
+    def activate(self, now, path_id, nbytes):
+        slot = self.kernel.activate(now, path_id, nbytes)
+        self.handle[slot] = self.ref.activate(now, path_id, nbytes)
+        self.check()
         return slot
 
-    def mm_reallocate(self, state):
-        horizon = self.lib.mm_reallocate(state)
-        assert bits(horizon) == bits(self.ref.mm_reallocate())
-        self.check(state)
+    def reallocate(self):
+        horizon = self.kernel.reallocate()
+        assert bits(horizon) == bits(self.ref.reallocate())
+        self.check()
         return horizon
 
-    def mm_finish(self, state, now):
-        n = self.lib.mm_finish(state, now)
-        assert n == self.ref.mm_finish(now)
-        slots = self.lib.mm_finished(state)[:n]
-        assert [self.handle.pop(s) for s in slots] == self.ref.finished
-        self.check(state)
+    def finish(self, now):
+        self.finished = slots = self.kernel.finish(now)
+        assert [self.handle.pop(s) for s in slots] == self.ref.finish(now)
+        self.check()
         self.guards += self.ref.guarded
-        return n
+        return slots
 
-    def mm_finished(self, state):
-        return self.lib.mm_finished(state)
-
-    def mm_n_active(self, state):
-        return self.lib.mm_n_active(state)
-
-    def mm_active(self, state, slots, rates, left):
-        self.lib.mm_active(state, slots, rates, left)
+    def active(self):
+        return self.kernel.active()
 
 
 def teed(fab: Fabric) -> Tee:
     """Route ``fab``'s kernel calls through a :class:`Tee` (before it has
     carried any transfer)."""
     bandwidth = [fab.link_bandwidth(i) for i in range(len(fab.topology.links))]
-    tee = fab._lib = Tee(fab._lib, ComponentReference(bandwidth, fab.per_flow_cap))
+    tee = fab._kernel = Tee(fab._kernel, ComponentReference(bandwidth, fab.per_flow_cap))
     return tee
 
 
@@ -191,54 +179,87 @@ operations = st.lists(
 def test_any_call_sequence_matches_the_reference(bandwidth, cap, ops):
     """Calls in any order and at any time, timers early or late included
     (an early finish takes the closest flow)."""
-    lib = _maxmin.load()
-    state = lib.mm_new(N_LINKS, (ctypes.c_double * N_LINKS)(*bandwidth), cap)
-    tee = Tee(lib, ComponentReference(bandwidth, cap))
+    tee = Tee(_maxmin.load().Kernel(bandwidth, cap), ComponentReference(bandwidth, cap))
     paths: dict[tuple[int, ...], int] = {}
     now = 0.0
-    try:
-        for op, *args in ops:
-            if op == "activate":
-                path = tuple(args[0])
-                if path not in paths:
-                    links = (ctypes.c_int * len(path))(*path)
-                    paths[path] = tee.mm_add_path(state, links, len(path))
-                tee.mm_activate(state, now, paths[path], args[1])
-            elif op == "scale":
-                tee.mm_set_bandwidth(state, args[0], bandwidth[args[0]] * args[1])
-            elif op == "wait":
-                now += args[0]
-            elif op == "progress":
-                tee.mm_progress(state, now)
-            elif op == "reallocate":
-                tee.mm_reallocate(state)
-            elif tee.handle:  # finish needs a flow on the wire
-                tee.mm_reallocate(state)  # as the fabric does before any timer
-                tee.mm_finish(state, now)
-    finally:
-        lib.mm_free(state)
+    for op, *args in ops:
+        if op == "activate":
+            path = tuple(args[0])
+            if path not in paths:
+                paths[path] = tee.add_path(path)
+            tee.activate(now, paths[path], args[1])
+        elif op == "scale":
+            tee.set_bandwidth(args[0], bandwidth[args[0]] * args[1])
+        elif op == "wait":
+            now += args[0]
+        elif op == "progress":
+            tee.progress(now)
+        elif op == "reallocate":
+            tee.reallocate()
+        elif tee.handle:  # finish needs a flow on the wire
+            tee.reallocate()  # as the fabric does before any timer
+            tee.finish(now)
 
 
 def test_early_timer_takes_the_first_closest_flow():
     """With no flow done, a timer finishes the flow with the fewest bytes
     left, the first in activation order on a tie."""
-    lib = _maxmin.load()
     bandwidth = [100.0, 100.0]
-    state = lib.mm_new(2, (ctypes.c_double * 2)(*bandwidth), math.inf)
-    tee = Tee(lib, ComponentReference(bandwidth, math.inf))
-    try:
-        p0 = tee.mm_add_path(state, (ctypes.c_int * 1)(0), 1)
-        p1 = tee.mm_add_path(state, (ctypes.c_int * 1)(1), 1)
-        for path in (p0, p1, p0):
-            tee.mm_activate(state, 0.0, path, 300.0)
-        tee.mm_reallocate(state)  # 50, 100 and 50 B/s
-        assert tee.mm_finish(state, 1.0) == 1  # 250, 200 and 250 bytes left
-        assert tee.ref.guarded and tee.ref.finished == [1]
-        tee.mm_reallocate(state)
-        assert tee.mm_finish(state, 1.0) == 1  # a tie at 250: the first wins
-        assert tee.ref.guarded and tee.ref.finished == [0]
-    finally:
-        lib.mm_free(state)
+    tee = Tee(_maxmin.load().Kernel(bandwidth, math.inf), ComponentReference(bandwidth, math.inf))
+    p0 = tee.add_path((0,))
+    p1 = tee.add_path((1,))
+    for path in (p0, p1, p0):
+        tee.activate(0.0, path, 300.0)
+    tee.reallocate()  # 50, 100 and 50 B/s
+    assert len(tee.finish(1.0)) == 1  # 250, 200 and 250 bytes left
+    assert tee.ref.guarded and tee.ref.finished == [1]
+    tee.reallocate()
+    assert len(tee.finish(1.0)) == 1  # a tie at 250: the first wins
+    assert tee.ref.guarded and tee.ref.finished == [0]
+
+
+def test_out_of_range_arguments_raise_and_leave_the_kernel_as_it_was():
+    """Every path id and link index is checked before the state is touched:
+    a rejected call leaves the same flows, rates and next solve as a kernel
+    that never saw it."""
+    bandwidth = [100.0, 50.0, 30.0]
+
+    def loaded():
+        kernel = _maxmin.load().Kernel(bandwidth, math.inf)
+        p, q = kernel.add_path((0, 1)), kernel.add_path((2,))
+        kernel.activate(0.0, p, 400.0)
+        kernel.activate(0.0, q, 90.0)
+        kernel.reallocate()
+        kernel.activate(0.5, q, 10.0)  # leaves links dirty for the next solve
+        return kernel
+
+    def state(kernel):
+        return [(slot, bits(rate), bits(left)) for slot, rate, left in kernel.active()]
+
+    kernel, untouched = loaded(), loaded()
+    rejected = [
+        ("add_path", ((0, 3),), IndexError),
+        ("add_path", ((-1,),), IndexError),
+        ("add_path", ((0, 1.0),), TypeError),
+        ("add_path", (7,), TypeError),
+        ("activate", (1.0, 2, 10.0), IndexError),
+        ("activate", (1.0, -1, 10.0), IndexError),
+        ("activate", (1.0, 0.0, 10.0), TypeError),
+        ("activate", (1.0, 0), TypeError),
+        ("set_bandwidth", (3, 10.0), IndexError),
+        ("set_bandwidth", (-1, 10.0), IndexError),
+        ("set_bandwidth", (0, "fast"), TypeError),
+        ("progress", ("now",), TypeError),
+        ("finish", (None,), TypeError),
+    ]
+    for name, args, error in rejected:
+        with pytest.raises(error):
+            getattr(kernel, name)(*args)
+    assert state(kernel) == state(untouched)
+    assert bits(kernel.reallocate()) == bits(untouched.reallocate())
+    assert state(kernel) == state(untouched)
+    assert kernel.add_path((1,)) == untouched.add_path((1,)) == 2
+    assert kernel.finish(10.0) == untouched.finish(10.0)
 
 
 def test_reused_slot_keeps_activation_order():
@@ -260,7 +281,7 @@ def test_reused_slot_keeps_activation_order():
     eng.run(short)
     eng.run(until=1.5)
     assert [f.fid for f in fab.active_flows] == [2, 3, 4, 5, 6, 1]
-    assert tee.lib.mm_finished(fab._state)[0] == 0 and tee.handle[0] == 6
+    assert tee.finished == (0,) and tee.handle[0] == 6
     eng.run(eng.all_of([late, *events]))
 
 
@@ -286,6 +307,7 @@ def test_warm_cache_does_not_recompile(tmp_path, monkeypatch):
     assert len(runs) == 1 and first.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]  # no temp file left
     assert {"-O2", "-ffp-contract=off"} <= set(runs[0]) and "-ffast-math" not in runs[0]
+    assert f"-I{sysconfig.get_path('include')}" in runs[0]
 
 
 def test_changed_source_rebuilds(tmp_path, monkeypatch):
@@ -297,6 +319,30 @@ def test_changed_source_rebuilds(tmp_path, monkeypatch):
     second = _maxmin.build(source, tmp_path)
     assert first != second and first.exists() and second.exists()
     assert len(runs) == 2
+
+
+def test_other_extension_suffix_builds_its_own_module(tmp_path, monkeypatch):
+    """One tree serves several Pythons: each extension suffix gets its own
+    cached module, and the hash covers the suffix too."""
+    runs = count_compiles(monkeypatch)
+    first = _maxmin.build(_maxmin.SOURCE, tmp_path)
+    monkeypatch.setattr(_maxmin.machinery, "EXTENSION_SUFFIXES", [".cpython-399-other.so"])
+    second = _maxmin.build(_maxmin.SOURCE, tmp_path)
+    assert first.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+    assert second.name.endswith(".cpython-399-other.so")
+    assert first.name.split(".")[1] != second.name.split(".")[1]
+    assert len(runs) == 2 and first.exists() and second.exists()
+
+
+def test_missing_python_headers_are_a_clear_error(tmp_path, monkeypatch):
+    runs = count_compiles(monkeypatch)
+    include, cache = tmp_path / "include", tmp_path / "cache"
+    include.mkdir()
+    cache.mkdir()
+    monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs: str(include))
+    with pytest.raises(RuntimeError, match=f"Python.h in {re.escape(str(include))}"):
+        _maxmin.build(_maxmin.SOURCE, cache)
+    assert not runs and not list(cache.iterdir())
 
 
 def test_unwritable_package_dir_uses_the_user_cache(tmp_path, monkeypatch):
@@ -330,8 +376,8 @@ def test_link_added_after_construction_is_rejected():
 
 def test_dropped_fabric_frees_its_kernel_state():
     fab = Fabric(Engine(), Topology(name="pair", n_hosts=2))
-    finalizer = fab._finalizer
-    assert finalizer.alive
+    kernel = weakref.ref(fab._kernel)
+    assert kernel() is not None
     del fab
     gc.collect()
-    assert not finalizer.alive
+    assert kernel() is None

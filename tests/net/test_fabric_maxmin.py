@@ -44,8 +44,8 @@ def audit(fab: Fabric, every: int = 1) -> list[int]:
     calls = [0]
     checked = [0]
 
-    def reallocate_and_check() -> None:
-        solve()
+    def reallocate_and_check(arg: None = None) -> None:
+        solve(arg)
         calls[0] += 1
         if calls[0] % every == 0:
             check_rates(fab)
