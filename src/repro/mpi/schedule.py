@@ -56,7 +56,8 @@ Executor-layer services
 from __future__ import annotations
 
 import functools
-from collections import deque
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -247,6 +248,26 @@ class Schedule:
             by_rank.setdefault(s.rank, []).append(s)
         return by_rank
 
+    # The structural analysis below is computed at most once per schedule
+    # object and shared by the lint, the happens-before graph and the
+    # bounds pass.  Caching on a frozen schedule of frozen steps is sound;
+    # a failed analysis raises and caches nothing, so it raises again.
+
+    @functools.cached_property
+    def _message_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(send sid, recv sid) per matched message: see :func:`_message_edges`."""
+        return tuple(_message_edges(self))
+
+    @functools.cached_property
+    def _canonical_order(self) -> tuple[int, ...]:
+        """The min-sid happens-before linearization: see :func:`_min_sid_order`."""
+        return _min_sid_order(self)
+
+    @functools.cached_property
+    def _lint_summary(self) -> dict[str, Any]:
+        """The summary of a passed lint: see :func:`validate_schedule`."""
+        return _lint(self)
+
     def step_counts(self) -> dict[str, int]:
         """Number of steps per step-type name (for profiles and displays)."""
         counts: dict[str, int] = {}
@@ -428,88 +449,122 @@ def validate_schedule(schedule: Schedule) -> dict[str, Any]:
     """Lint a schedule; raises :class:`ScheduleError` on any violation.
 
     Checks: step ids are dense and deps are same-rank backward references;
-    buffer ranges are sane; every receive is matched by exactly one send
-    (and vice versa) with consistent element counts; per-rank send/receive
-    counts balance pairwise; and the full happens-before graph — same-rank
-    dependency edges plus send->receive message edges — is acyclic, which
-    rules out deadlock under eager sends.
+    compute durations are finite and non-negative; buffer ranges are sane;
+    every receive is matched by exactly one send (and vice versa) with
+    consistent element counts; per-rank send/receive counts balance
+    pairwise; and the full happens-before graph — same-rank dependency
+    edges plus send->receive message edges — is acyclic, which rules out
+    deadlock under eager sends.
+
+    The lint runs once per schedule: a schedule that passed is not linted
+    again, and one that failed raises on every call.
 
     Returns a summary dict (step counts, per-rank balance) for reporting.
     """
-    n_steps = len(schedule.steps)
-    for i, s in enumerate(schedule.steps):
+    summary = schedule._lint_summary
+    return {
+        **summary,
+        "step_counts": dict(summary["step_counts"]),
+        "sends_per_rank": list(summary["sends_per_rank"]),
+        "recvs_per_rank": list(summary["recvs_per_rank"]),
+    }
+
+
+def _lint(schedule: Schedule) -> dict[str, Any]:
+    """The lint behind :func:`validate_schedule`, uncached; reports the
+    first violation in step order, then pairing, cycle and balance."""
+    steps = schedule.steps
+    n_ranks = schedule.n_ranks
+    count = schedule.count
+    sent = [0] * n_ranks
+    received = [0] * n_ranks
+    for i, s in enumerate(steps):
         if s.sid != i:
             raise ScheduleError(f"step at position {i} has sid {s.sid}")
-        if not 0 <= s.rank < schedule.n_ranks:
-            raise ScheduleError(f"step {i} rank {s.rank} out of range")
+        rank = s.rank
+        if not 0 <= rank < n_ranks:
+            raise ScheduleError(f"step {i} rank {rank} out of range")
         for d in s.deps:
             if not 0 <= d < i:
                 raise ScheduleError(f"step {i} dep {d} is not a backward reference")
-            if schedule.steps[d].rank != s.rank:
+            if steps[d].rank != rank:
                 raise ScheduleError(f"step {i} dep {d} crosses ranks")
-        if isinstance(s, (ComputeStep, OptimStep)) and s.seconds < 0:
-            raise ScheduleError(f"step {i} has negative duration {s.seconds!r}")
+        if isinstance(s, (ComputeStep, OptimStep)) and not 0 <= s.seconds < math.inf:
+            kind = "negative" if s.seconds < 0 else "non-finite"
+            raise ScheduleError(f"step {i} has {kind} duration {s.seconds!r}")
         for lo, hi in _ranges_of(s):
             if not 0 <= lo <= hi:
                 raise ScheduleError(f"step {i} has invalid range [{lo}, {hi})")
-            if schedule.count is not None and hi > schedule.count:
+            if count is not None and hi > count:
                 raise ScheduleError(
-                    f"step {i} range [{lo}, {hi}) exceeds count {schedule.count}"
+                    f"step {i} range [{lo}, {hi}) exceeds count {count}"
                 )
-        for peer in _peers_of(s):
-            if peer is not None and not 0 <= peer < schedule.n_ranks:
-                raise ScheduleError(f"step {i} peer rank {peer} out of range")
-            if peer == s.rank:
-                # A rank messaging itself never matches: the executor's
-                # send and receive strands would deadlock silently.
-                verb = "sends to" if isinstance(s, SendStep) else "receives from"
-                raise ScheduleError(f"step {i} rank {s.rank} {verb} itself")
-
-    edges = _message_edges(schedule)
-
-    # Kahn's algorithm over dependency + message edges.
-    adj: list[list[int]] = [[] for _ in range(n_steps)]
-    indeg = [0] * n_steps
-    for s in schedule.steps:
-        for d in s.deps:
-            adj[d].append(s.sid)
-            indeg[s.sid] += 1
-    for snd, rcv in edges:
-        adj[snd].append(rcv)
-        indeg[rcv] += 1
-    queue = deque(i for i in range(n_steps) if indeg[i] == 0)
-    seen = 0
-    while queue:
-        u = queue.popleft()
-        seen += 1
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if seen != n_steps:
-        stuck = [i for i in range(n_steps) if indeg[i] > 0]
-        raise ScheduleError(
-            f"schedule has a dependency/message cycle involving steps {stuck[:8]}"
-        )
-
-    sent = [0] * schedule.n_ranks
-    received = [0] * schedule.n_ranks
-    for s in schedule.steps:
         if isinstance(s, SendStep):
-            sent[s.rank] += 1
+            peer, verb = s.dst, "sends to"
+            sent[rank] += 1
         elif isinstance(s, (RecvReduceStep, CopyStep)):
-            received[s.rank] += 1
+            peer, verb = s.src, "receives from"
+            received[rank] += 1
+        else:
+            continue
+        if peer is not None and not 0 <= peer < n_ranks:
+            raise ScheduleError(f"step {i} peer rank {peer} out of range")
+        if peer == rank:
+            # A rank messaging itself never matches: the executor's
+            # send and receive strands would deadlock silently.
+            raise ScheduleError(f"step {i} rank {rank} {verb} itself")
+
+    pairs = schedule._message_pairs
+    schedule._canonical_order  # raises on a dependency/message cycle
     if sum(sent) != sum(received):
         raise ScheduleError(
             f"unbalanced step counts: {sum(sent)} sends vs {sum(received)} receives"
         )
     return {
-        "n_steps": n_steps,
-        "n_messages": len(edges),
+        "n_steps": len(steps),
+        "n_messages": len(pairs),
         "step_counts": schedule.step_counts(),
         "sends_per_rank": sent,
         "recvs_per_rank": received,
     }
+
+
+def _min_sid_order(schedule: Schedule) -> tuple[int, ...]:
+    """The canonical linearization of a schedule's happens-before graph.
+
+    Kahn's algorithm with a min-sid heap over dependency and message
+    edges: of all topological orders, the lexicographically smallest, so
+    every pass that walks it visits steps in the same order.  Raises
+    :class:`ScheduleError` on a cycle.
+    """
+    steps = schedule.steps
+    n = len(steps)
+    succs: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s in steps:
+        if s.deps:
+            indeg[s.sid] = len(s.deps)
+            for d in s.deps:
+                succs[d].append(s.sid)
+    for snd, rcv in schedule._message_pairs:
+        succs[snd].append(rcv)
+        indeg[rcv] += 1
+    heap = [i for i in range(n) if not indeg[i]]  # ascending: already a heap
+    order: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        u = pop(heap)
+        order.append(u)
+        for v in succs[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                push(heap, v)
+    if len(order) != n:
+        stuck = [i for i in range(n) if indeg[i] > 0]
+        raise ScheduleError(
+            f"schedule has a dependency/message cycle involving steps {stuck[:8]}"
+        )
+    return tuple(order)
 
 
 def _ranges_of(s: Step) -> list[tuple[int, int]]:
@@ -520,14 +575,6 @@ def _ranges_of(s: Step) -> list[tuple[int, int]]:
     if s.buf is None:
         return []
     return [(s.lo, s.hi)]
-
-
-def _peers_of(s: Step) -> list[int | None]:
-    if isinstance(s, SendStep):
-        return [s.dst]
-    if isinstance(s, (RecvReduceStep, CopyStep)):
-        return [s.src]
-    return []
 
 
 def format_schedule(schedule: Schedule, *, max_steps: int | None = None) -> str:

@@ -101,11 +101,7 @@ def verify_schedule(
         n_steps=len(schedule.steps),
         contract=contract.name if contract is not None else None,
     )
-    kind_counts: dict[str, int] = {}
-    for step in schedule.steps:
-        kind = type(step).__name__
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-    report.lint_summary = kind_counts
+    report.lint_summary = schedule.step_counts()
 
     try:
         validate_schedule(schedule)

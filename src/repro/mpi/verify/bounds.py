@@ -79,15 +79,24 @@ def analyze_bounds(
     *,
     model: AlphaBetaModel | None = None,
 ) -> ResourceBounds:
-    """Compute the critical path and in-flight peaks of a schedule."""
-    hb = hb if hb is not None else HBGraph(schedule)
+    """Compute the critical path and in-flight peaks of a schedule.
+
+    One walk of the schedule's canonical order computes both.  Without an
+    ``hb`` graph the receive-to-send map comes from the schedule's cached
+    message pairing, so no graph is built.
+    """
     model = model if model is not None else AlphaBetaModel()
     itemsize = schedule.itemsize if schedule.itemsize else 1
+    steps = schedule.steps
+    if hb is not None:
+        recv_to_send = hb.recv_to_send
+    else:
+        recv_to_send = {r: s for s, r in schedule._message_pairs}
 
-    n = len(schedule.steps)
+    n = len(steps)
     weight = [0.0] * n
     gpu_seconds: dict[int, float] = {}
-    for s in schedule.steps:
+    for s in steps:
         if isinstance(s, (RecvReduceStep, ReduceLocalStep)):
             weight[s.sid] = _nbytes(s, itemsize) * model.gamma
         elif isinstance(s, (ComputeStep, OptimStep)):
@@ -97,63 +106,54 @@ def analyze_bounds(
     via = [-1] * n
     #: per channel: wire-completion time of the last transfer so far.
     channel_done: dict[tuple[int, int, object], float] = {}
-    for sid in hb.order:
-        step = schedule.steps[sid]
+    bounds = ResourceBounds(critical_path_s=0.0, critical_path_sids=())
+    peak_link, peak_rank = bounds.peak_link_bytes, bounds.peak_rank_bytes
+    link_now: dict[tuple[int, int], int] = {}
+    rank_now: dict[int, int] = {}
+    beta = model.beta
+    for sid in schedule._canonical_order:
+        step = steps[sid]
         best, best_pred = 0.0, -1
         for p in step.deps:
             if finish[p] > best:
                 best, best_pred = finish[p], p
-        snd_sid = hb.recv_to_send.get(sid)
+        snd_sid = recv_to_send.get(sid)
         if snd_sid is not None:
-            snd = schedule.steps[snd_sid]
+            # The arrival of the matched payload, and its drain from the
+            # in-flight accounts.
+            snd = steps[snd_sid]
+            nbytes = _nbytes(snd, itemsize)
             channel = (snd.rank, snd.dst, snd.key)
             arrival = max(finish[snd_sid], channel_done.get(channel, 0.0))
-            arrival += _nbytes(snd, itemsize) * model.beta
+            arrival += nbytes * beta
             channel_done[channel] = arrival
             if arrival > best:
                 best, best_pred = arrival, snd_sid
+            link_now[(snd.rank, snd.dst)] -= nbytes
+            rank_now[snd.rank] -= nbytes
+        elif isinstance(step, SendStep):
+            nbytes = _nbytes(step, itemsize)
+            link, rank = (step.rank, step.dst), step.rank
+            link_now[link] = link_now.get(link, 0) + nbytes
+            rank_now[rank] = rank_now.get(rank, 0) + nbytes
+            peak_link[link] = max(peak_link.get(link, 0), link_now[link])
+            peak_rank[rank] = max(peak_rank.get(rank, 0), rank_now[rank])
+            bounds.total_wire_bytes += nbytes
         finish[sid] = best + weight[sid]
         via[sid] = best_pred
     if n:
-        tail = max(range(n), key=lambda i: finish[i])
+        tail = max(range(n), key=finish.__getitem__)
         path = [tail]
         while via[path[-1]] >= 0:
             path.append(via[path[-1]])
         path.reverse()
-        critical = finish[tail]
-    else:
-        path, critical = [], 0.0
+        bounds.critical_path_s = finish[tail]
+        bounds.critical_path_sids = tuple(path)
     # The GPU is exclusive per rank: one rank's compute seconds serialize
     # even when the dependency DAG would allow them to overlap, so the
     # largest per-rank compute sum is a second sound lower bound.
     if gpu_seconds:
-        critical = max(critical, max(gpu_seconds.values()))
-
-    bounds = ResourceBounds(
-        critical_path_s=critical,
-        critical_path_sids=tuple(path),
-    )
-    link_now: dict[tuple[int, int], int] = {}
-    rank_now: dict[int, int] = {}
-    for sid in hb.order:
-        step = schedule.steps[sid]
-        if isinstance(step, SendStep):
-            nbytes = _nbytes(step, itemsize)
-            link = (step.rank, step.dst)
-            link_now[link] = link_now.get(link, 0) + nbytes
-            rank_now[step.rank] = rank_now.get(step.rank, 0) + nbytes
-            bounds.total_wire_bytes += nbytes
-            bounds.peak_link_bytes[link] = max(
-                bounds.peak_link_bytes.get(link, 0), link_now[link]
-            )
-            bounds.peak_rank_bytes[step.rank] = max(
-                bounds.peak_rank_bytes.get(step.rank, 0), rank_now[step.rank]
-            )
-        elif sid in hb.recv_to_send:
-            snd = schedule.steps[hb.recv_to_send[sid]]
-            nbytes = _nbytes(snd, itemsize)
-            link_now[(snd.rank, snd.dst)] -= nbytes
-            rank_now[snd.rank] -= nbytes
+        bounds.critical_path_s = max(bounds.critical_path_s, max(gpu_seconds.values()))
     bounds.leaked_bytes = sum(link_now.values())
     return bounds
 

@@ -7,26 +7,20 @@ Happens-before combines two edge families, exactly mirroring the runtime:
   per ``(src, dst, key)`` channel in posted (sid) order, the same pairing
   :func:`repro.mpi.schedule.validate_schedule` lints.
 
-On top of the edge lists this module provides a deterministic
-linearization (Kahn's algorithm with a min-sid heap — every run of the
-verifier visits steps in the same order) and full reachability as one
-bitmask per step, which turns "is there a happens-before path a -> b?"
-into a single shift-and-test.  Reachability is what lets the race and
-determinism passes decide *concurrency* rather than merely adjacency.
+On top of the edge lists the graph carries the schedule's deterministic
+linearization (Kahn's algorithm with a min-sid heap, computed once per
+schedule and shared with the lint — every run of the verifier visits
+steps in the same order) and full reachability as one bitmask per step,
+which turns "is there a happens-before path a -> b?" into a single
+shift-and-test.  Reachability is what lets the race and determinism
+passes decide *concurrency* rather than merely adjacency.  It is built
+per graph and never cached on the schedule: for a 9,872-step DAG the
+masks take about 13 MB.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from repro.mpi.schedule import (
-    CopyStep,
-    RecvReduceStep,
-    Schedule,
-    ScheduleError,
-    SendStep,
-    _message_edges,
-)
+from repro.mpi.schedule import CopyStep, RecvReduceStep, Schedule, SendStep
 
 __all__ = ["HBGraph"]
 
@@ -34,15 +28,17 @@ __all__ = ["HBGraph"]
 class HBGraph:
     """Happens-before edges, topological order and reachability.
 
-    Raises :class:`~repro.mpi.schedule.ScheduleError` on unmatched
-    messages or cycles — run :func:`~repro.mpi.schedule.validate_schedule`
-    first for a friendlier message.
+    The message pairing and the canonical order are the schedule's own,
+    computed once per schedule and shared with the lint and the bounds
+    pass.  Raises :class:`~repro.mpi.schedule.ScheduleError` on unmatched
+    messages or cycles, with the lint's message.
     """
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         n = len(schedule.steps)
-        self.message_pairs: list[tuple[int, int]] = _message_edges(schedule)
+        self.message_pairs: tuple[tuple[int, int], ...] = schedule._message_pairs
+        self.order: tuple[int, ...] = schedule._canonical_order
         self.recv_to_send: dict[int, int] = {r: s for s, r in self.message_pairs}
         self.send_to_recv: dict[int, int] = {s: r for s, r in self.message_pairs}
 
@@ -55,41 +51,18 @@ class HBGraph:
             elif isinstance(s, (RecvReduceStep, CopyStep)):
                 self.channels.setdefault((s.src, s.rank, s.key), ([], []))[1].append(s.sid)
 
-        self.preds: list[list[int]] = [list(s.deps) for s in schedule.steps]
         self.succs: list[list[int]] = [[] for _ in range(n)]
         for s in schedule.steps:
             for d in s.deps:
                 self.succs[d].append(s.sid)
         for snd, rcv in self.message_pairs:
-            self.preds[rcv].append(snd)
             self.succs[snd].append(rcv)
 
-        self.order = self._topological_order()
         #: position of each step in the canonical linearization.
         self.position = [0] * n
         for pos, sid in enumerate(self.order):
             self.position[sid] = pos
         self._desc: list[int] | None = None
-
-    def _topological_order(self) -> list[int]:
-        n = len(self.schedule.steps)
-        indeg = [len(p) for p in self.preds]
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        order: list[int] = []
-        while heap:
-            u = heapq.heappop(heap)
-            order.append(u)
-            for v in self.succs[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
-        if len(order) != n:
-            stuck = [i for i in range(n) if indeg[i] > 0]
-            raise ScheduleError(
-                f"happens-before cycle involving steps {stuck[:8]}"
-            )
-        return order
 
     @property
     def descendants(self) -> list[int]:

@@ -18,6 +18,7 @@ from repro.mpi.schedule import (
     run_guarded,
     validate_schedule,
 )
+from repro.mpi.verify import verify_schedule
 
 # -- builder ------------------------------------------------------------------
 
@@ -569,6 +570,24 @@ def test_validate_rejects_negative_compute_duration():
     b.compute(0, -1.0)
     with pytest.raises(ScheduleError, match="negative duration"):
         b.build(validate=True)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", ["compute", "optim"])
+def test_validate_rejects_non_finite_durations(kind, seconds):
+    # NaN slips past a plain ``seconds < 0`` check; executing such a step
+    # either crashes the engine or runs its clock to infinity.
+    b = ScheduleBuilder(1, count=4)
+    if kind == "compute":
+        b.compute(0, seconds)
+    else:
+        b.optim(0, seconds, 0, 4)
+    with pytest.raises(ScheduleError, match="step 0 has non-finite duration"):
+        b.build(validate=True)
+    report = verify_schedule(b.build())
+    assert not report.ok
+    assert [issue.kind for issue in report.issues] == ["lint-error"]
+    assert report.resources is None
 
 
 def test_validate_catches_optim_range_beyond_count():

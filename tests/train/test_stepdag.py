@@ -52,6 +52,19 @@ def test_validation_rejects_bad_arguments():
         compile_bucketed_step(4, COUNT, 4, algorithm="warp")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("knob", ["forward_time", "backward_time", "optim_time"])
+def test_non_finite_compute_times_are_rejected(knob, bad):
+    with pytest.raises(ValueError, match="compute times must be finite"):
+        compile_bucketed_step(4, COUNT, 4, **{knob: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_bad_audit_time_is_rejected(bad):
+    with pytest.raises(ValueError, match="audit_time must be finite"):
+        compile_bucketed_step(4, COUNT, 4, audit=True, audit_time=bad)
+
+
 def test_compiler_is_memoized():
     assert _compile() is _compile()
     assert _compile() is not _compile(n_buckets=2)
