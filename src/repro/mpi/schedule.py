@@ -1007,8 +1007,8 @@ class _Strand(Event):
     the rest of itself as a plain call: a message through
     :meth:`MPIWorld.recv_call`, a CPU/GPU slot through
     :meth:`Resource.request_call`, the end of a hold as a call ``seconds``
-    later.  Each call takes the heap place of the event a generator strand
-    would have yielded, and a cross-strand wait is a callback on the
+    later.  Each call is scheduled where the event a generator strand
+    would have yielded would fire, and a cross-strand wait is a callback on the
     producing step's ``done`` event, so the strand is time-, order- and
     step-count-identical to the process it replaces (DESIGN §4o).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.mpi.datatypes import Buffer
 from repro.net.fabric import Fabric
@@ -27,8 +27,7 @@ from repro.sim.resources import Resource
 __all__ = ["MPIWorld", "Communicator", "Message"]
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A delivered message: payload plus byte count (for assertions)."""
 
     source: int
@@ -148,9 +147,9 @@ class MPIWorld:
                     data = controller.corrupt_payload(data)
 
             def transmit(_arg: None) -> None:
-                self.fabric.transfer(src, dst, nbytes).callbacks.append(deliver)
+                self.fabric.transfer(src, dst, nbytes, deliver)
 
-            def deliver(_flow: Event) -> None:
+            def deliver(_flow: object) -> None:
                 if action != "drop":
                     self._deposit(dst, Message(src, tag, data, nbytes))
                 done.succeed()

@@ -25,7 +25,8 @@ events, timers and statistics.
 The fabric is driven by the discrete-event :class:`~repro.sim.Engine`: flow
 starts, reallocations and the next completion are engine calls
 (:meth:`~repro.sim.Engine.call`), rate changes reschedule the next
-completion, and each transfer's event fires when its last byte arrives.
+completion, and when a transfer's last byte arrives its event fires or its
+waiter is called (:meth:`Fabric.transfer`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ class Flow:
     path: tuple[int, ...]
     nbytes: float
     remaining: float
-    event: Event
+    #: The transfer's event, or the waiter :meth:`Fabric.transfer` was
+    #: given.
+    waiter: Event | Callable[[Flow], Any]
     rate: float = 0.0
 
 
@@ -142,11 +145,22 @@ class Fabric:
             flows.append(flow)
         return tuple(flows)
 
-    def transfer(self, src: int, dst: int, nbytes: float) -> Event:
+    def transfer(
+        self,
+        src: int,
+        dst: int,
+        nbytes: float,
+        waiter: Event | Callable[[Flow], Any] | None = None,
+    ) -> Event | None:
         """Start moving ``nbytes`` from host ``src`` to host ``dst``.
 
         Returns an event that triggers (value = the :class:`Flow`) when the
         last byte arrives.  Zero-byte transfers still pay latency/overhead.
+
+        Call-style, like :meth:`MPIWorld.recv_call`: given a ``waiter``,
+        ``waiter(flow)`` runs as an engine call where the event would fire
+        (an :class:`Event` waiter is succeeded instead), and nothing is
+        returned.
         """
         if not 0 <= nbytes < math.inf:
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
@@ -155,22 +169,24 @@ class Fabric:
             path_id = self._path_ids.get(path)
             if path_id is None:
                 path_id = self._add_path(path)
-        ev = self.engine.event()
+        event = None
+        if waiter is None:
+            waiter = event = self.engine.event()
         self.stats.transfers_started += 1
         fid = self._next_fid
         self._next_fid += 1
         if not path:
             duration = self.software_overhead + nbytes / self.loopback_bandwidth
-            flow = Flow(fid, src, dst, (), float(nbytes), 0.0, ev)
+            flow = Flow(fid, src, dst, (), float(nbytes), 0.0, waiter)
             self.engine.call(self._hop, (duration, self._finish, flow))
-            return ev
+            return event
         delay = self.software_overhead + self._path_latency[path_id]
-        flow = Flow(fid, src, dst, path, float(nbytes), float(nbytes), ev)
+        flow = Flow(fid, src, dst, path, float(nbytes), float(nbytes), waiter)
         if nbytes <= _BYTES_EPS:
             self.engine.call(self._hop, (delay, self._finish, flow))
-            return ev
+            return event
         self.engine.call(self._hop, (delay, self._activate, (flow, path_id)))
-        return ev
+        return event
 
     def link_bandwidth(self, link_index: int) -> float:
         """Effective bandwidth of a link: nominal capacity times any live
@@ -230,9 +246,9 @@ class Fabric:
     def _hop(self, call: tuple[float, Callable[[Any], None], Any]) -> None:
         """Schedule ``fn(arg)`` after the transfer's start-up ``delay``.
 
-        :meth:`transfer` reaches this through one zero-delay engine call,
-        so the delayed call takes its place in the heap one step later,
-        where a transfer's start-up wait has always been scheduled.
+        :meth:`transfer` reaches this through one zero-delay engine
+        call, so the delayed call is scheduled one step later, in the
+        order a transfer's start-up wait has always been scheduled.
         """
         delay, fn, arg = call
         self.engine.call(fn, arg, delay)
@@ -257,7 +273,11 @@ class Fabric:
             self.stats.link_bytes[link] = (
                 self.stats.link_bytes.get(link, 0.0) + flow.nbytes
             )
-        flow.event.succeed(flow)
+        waiter = flow.waiter
+        if isinstance(waiter, Event):
+            waiter.succeed(flow)
+        else:
+            self.engine.call(waiter, flow)
 
     def _reallocate(self, _arg: None) -> None:
         """The engine call :meth:`_request_reallocate` schedules: re-solve the

@@ -1,12 +1,12 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal SimPy-style kernel: an :class:`Engine` owns a priority queue of
-timestamped events; :class:`Process` objects are Python generators that yield
-events (timeouts, other processes, resource requests) and are resumed when
-those events trigger.  Everything in the cluster/network/training simulators
-is built on this substrate.
+A minimal SimPy-style kernel: an :class:`Engine` owns a FIFO of the calls
+due now and a heap of future ones; :class:`Process` objects are Python
+generators that yield events (timeouts, other processes, resource requests)
+and are resumed when those events trigger.  Everything in the
+cluster/network/training simulators is built on this substrate.
 
-Determinism: ties in the event queue are broken by insertion order, so a
+Determinism: ties at equal times are broken by insertion order, so a
 simulation with the same inputs always produces the same trace.
 """
 
@@ -20,7 +20,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -31,6 +31,5 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -1,23 +1,20 @@
-"""Shared-resource primitives for the event engine.
+"""Shared-resource primitive for the event engine.
 
-* :class:`Resource` — a counted resource (e.g. a GPU, a disk head, a host
-  thread slot).  Processes ``request()`` a slot, yield the returned event,
-  and must ``release()`` when done; call-driven code passes a function to
-  ``request_call()`` instead.
-* :class:`Store` — an unbounded-or-bounded FIFO of Python objects (used for
-  work queues such as the Torch "donkey" mini-batch queue).
+:class:`Resource` is a counted resource (e.g. a GPU, a disk head, a host
+thread slot).  Processes ``request()`` a slot, yield the returned event,
+and must ``release()`` when done; call-driven code passes a function to
+``request_call()`` instead.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Callable
 from typing import Any
 
 from repro.sim.engine import Engine, Event, SimulationError
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -55,7 +52,7 @@ class Resource:
         call once a slot is granted (an :class:`Event` waiter is succeeded
         instead).
 
-        The call takes the heap place the request event's firing would, so
+        The call is scheduled where the request event's firing would be, so
         event and call waiters share one FIFO queue and interleave exactly.
         """
         if self._in_use < self.capacity:
@@ -110,54 +107,3 @@ class Resource:
             yield self.engine.timeout(duration)
         finally:
             self.release()
-
-
-class Store:
-    """A FIFO buffer of items with optional capacity bound.
-
-    ``put`` returns an event that triggers when the item is accepted;
-    ``get`` returns an event that triggers with the next item.
-    """
-
-    def __init__(self, engine: Engine, capacity: float = math.inf, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        ev = self.engine.event()
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(item)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(item)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        ev = self.engine.event()
-        if self._items:
-            item = self._items.popleft()
-            ev.succeed(item)
-            if self._putters:
-                put_ev, put_item = self._putters.popleft()
-                self._items.append(put_item)
-                put_ev.succeed(put_item)
-        else:
-            self._getters.append(ev)
-        return ev

@@ -474,3 +474,71 @@ def test_waiting_on_processed_event_resumes_at_the_same_time():
     eng.run(p)
     # Boot, then the resume is queued behind the call already waiting.
     assert trace == ["queued-before-resume", (1.0, "v")]
+
+
+# -- the tie-break rule ------------------------------------------------------------
+
+
+def test_an_entry_scheduled_earlier_for_t_runs_before_a_zero_delay_call_made_at_t():
+    eng = Engine()
+    order = []
+
+    def at_one(_arg):
+        order.append("first at 1.0")
+        eng.event().succeed().callbacks.append(lambda _ev: order.append("event at 1.0"))
+        eng.call(order.append, "zero delay at 1.0")
+
+    eng.call(at_one, None, 1.0)
+    eng.call(order.append, "scheduled at 0.0 for 1.0", 1.0)
+    eng.timeout(1.0).callbacks.append(lambda _ev: order.append("timeout for 1.0"))
+    eng.run()
+    assert order == [
+        "first at 1.0",
+        "scheduled at 0.0 for 1.0",
+        "timeout for 1.0",
+        "event at 1.0",
+        "zero delay at 1.0",
+    ]
+
+
+def test_a_sub_ulp_delay_runs_in_fifo_order_with_the_zero_delay_calls():
+    eng = Engine()
+    order = []
+
+    def at_one(_arg):
+        assert eng.now + 1e-300 == eng.now
+        eng.call(order.append, "zero")
+        eng.call(order.append, "sub-ulp", 1e-300)
+        eng.timeout(1e-17).callbacks.append(lambda _ev: order.append("sub-ulp timeout"))
+        eng.event().succeed(delay=1e-300).callbacks.append(
+            lambda _ev: order.append("sub-ulp event")
+        )
+        eng.call(order.append, "zero again")
+
+    eng.call(at_one, None, 1.0)
+    eng.call(order.append, "later", 1.0 + 2**-52)
+    eng.run()
+    assert order == [
+        "zero",
+        "sub-ulp",
+        "sub-ulp timeout",
+        "sub-ulp event",
+        "zero again",
+        "later",
+    ]
+    assert eng.now == 1.0 + 2**-52
+
+
+def test_peek_is_now_while_same_time_calls_wait_and_run_until_now_drains_them():
+    eng = Engine()
+    seen = []
+    eng.call(seen.append, "future", 2.0)
+    eng.run(until=1.0)
+    eng.call(seen.append, "a")
+    eng.call(seen.append, "b", 1e-300)
+    assert eng.peek() == eng.now == 1.0
+    eng.run(until=eng.now)
+    assert seen == ["a", "b"]
+    assert (eng.now, eng.peek()) == (1.0, 2.0)
+    eng.run(until=2.0)  # an entry due at the horizon runs
+    assert seen == ["a", "b", "future"]

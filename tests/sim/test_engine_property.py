@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, Resource, Store
+from repro.sim import Engine, Resource
+
+from tests.sim.store import Store
 
 
 @settings(max_examples=50, deadline=None)

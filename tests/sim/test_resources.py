@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Engine, Resource, SimulationError, Store
+from repro.sim import Engine, Resource, SimulationError
+
+from tests.sim.store import Store
 
 
 def test_resource_grants_up_to_capacity():
