@@ -98,8 +98,13 @@ class SizeBuffer(Buffer):
         self.itemsize = int(itemsize)
 
     def view(self, start: int, stop: int) -> "SizeBuffer":
-        self._check_range(start, stop)
-        return SizeBuffer(stop - start, self.itemsize)
+        if not 0 <= start <= stop <= self.count:
+            self._check_range(start, stop)  # raises
+        # A checked range makes a valid count: skip __init__'s checks.
+        view = SizeBuffer.__new__(SizeBuffer)
+        view.count = int(stop - start)
+        view.itemsize = self.itemsize
+        return view
 
     def add_(self, payload: Any) -> None:
         pass

@@ -36,6 +36,66 @@ class Message(NamedTuple):
     nbytes: int
 
 
+class _Send(Event):
+    """One message in flight: the event that fires on its delivery, and the
+    chain of engine calls that carries it (DESIGN §4o).
+
+    :meth:`start` (one zero-delay hop) -> :meth:`post`, once the pair's
+    previous message is delivered -> the fault verdict, maybe a delay ->
+    :meth:`transmit` -> :meth:`deliver`, the transfer's waiter.  The record
+    drops its predecessor when it starts, and its world, tag and payload
+    when it delivers: the pair's channel tail keeps no more alive than a
+    plain event, and a finished simulation holds no reference cycle
+    through it.
+    """
+
+    __slots__ = ("world", "src", "dst", "tag", "payload", "nbytes", "prev", "action")
+
+    def __init__(self, world: MPIWorld, src: int, dst: int, tag: object,
+                 payload: object, nbytes: int):
+        super().__init__(world.engine)
+        self.world = world
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        self.prev: _Send | None = None  # the pair's previous message
+        self.action = "deliver"
+
+    def start(self, _arg: None) -> None:
+        prev, self.prev = self.prev, None
+        if prev is None:
+            self.post(None)
+        elif prev.callbacks is None:
+            self.engine.call(self.post)  # delivered already: resume one hop later
+        else:
+            prev.callbacks.append(self.post)
+
+    def post(self, _arg: object) -> None:
+        controller = self.world.fault_controller
+        if controller is not None:
+            action, seconds = controller.on_send(self.src, self.dst, self.tag, self.nbytes)
+            self.action = action
+            if action == "corrupt":
+                self.payload = controller.corrupt_payload(self.payload)
+            elif action == "delay" and seconds > 0:
+                self.engine.call(self.transmit, None, seconds)
+                return
+        self.transmit(None)
+
+    def transmit(self, _arg: None) -> None:
+        self.world.fabric.transfer(self.src, self.dst, self.nbytes, self.deliver)
+
+    def deliver(self, _flow: object) -> None:
+        if self.action != "drop":
+            self.world._deposit(
+                self.dst, Message(self.src, self.tag, self.payload, self.nbytes)
+            )
+        self.world = self.tag = self.payload = None
+        self.succeed()
+
+
 class MPIWorld:
     """All ranks plus the network they communicate over.
 
@@ -91,7 +151,7 @@ class MPIWorld:
         #: communication, whose reductions and copies serialize on its CPU.
         self.cpus = [Resource(engine, 1, name=f"cpu{r}") for r in range(n_ranks)]
         self.gpus = [Resource(engine, 1, name=f"gpu{r}") for r in range(n_ranks)]
-        self._channel_tail: dict[tuple[int, int], Event] = {}
+        self._channel_tail: dict[tuple[int, int], _Send] = {}
         #: Optional message-fault hook (see :mod:`repro.train.injection`).
         #: Must expose ``on_send(src, dst, tag, nbytes) -> (action, seconds)``
         #: where action is ``"deliver"``, ``"delay"``, ``"drop"`` or
@@ -117,50 +177,18 @@ class MPIWorld:
         completes locally (fail-silent network loss: the sender's NIC is
         unaware) — only the deposit at the destination is suppressed, so
         the receiver hangs until a higher-level timeout detects the loss.
+
+        The returned event is the message's one record (:class:`_Send`):
+        its methods are the send's chain of engine calls.
         """
         self._check_rank(src)
         self._check_rank(dst)
-        payload = buf.extract()
-        nbytes = buf.nbytes
-        engine = self.engine
-        done = engine.event()
-        prev_tail = self._channel_tail.get((src, dst))
-        self._channel_tail[(src, dst)] = done
-
-        # The send is a chain of engine calls: start (one zero-delay hop)
-        # -> post, once the pair's previous message is delivered -> the
-        # fault verdict, maybe a delay -> transmit -> deliver.
-        def start(_arg: None) -> None:
-            if prev_tail is None:
-                post(None)
-            elif prev_tail.callbacks is None:
-                engine.call(post)  # delivered already: resume one hop later
-            else:
-                prev_tail.callbacks.append(post)
-
-        def post(_arg: object) -> None:
-            action, seconds, data = "deliver", 0.0, payload
-            controller = self.fault_controller
-            if controller is not None:
-                action, seconds = controller.on_send(src, dst, tag, nbytes)
-                if action == "corrupt":
-                    data = controller.corrupt_payload(data)
-
-            def transmit(_arg: None) -> None:
-                self.fabric.transfer(src, dst, nbytes, deliver)
-
-            def deliver(_flow: object) -> None:
-                if action != "drop":
-                    self._deposit(dst, Message(src, tag, data, nbytes))
-                done.succeed()
-
-            if action == "delay" and seconds > 0:
-                engine.call(transmit, None, seconds)
-            else:
-                transmit(None)
-
-        engine.call(start)
-        return done
+        send = _Send(self, src, dst, tag, buf.extract(), buf.nbytes)
+        tails = self._channel_tail
+        send.prev = tails.get((src, dst))
+        tails[(src, dst)] = send
+        self.engine.call(send.start)
+        return send
 
     def recv(self, rank: int, src: int, tag: object) -> Event:
         """Event that fires with the :class:`Message` from ``(src, tag)``."""

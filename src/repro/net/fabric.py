@@ -267,12 +267,13 @@ class Fabric:
         self.engine.call(self._reallocate)
 
     def _finish(self, flow: Flow) -> None:
-        self.stats.transfers_completed += 1
-        self.stats.bytes_completed += flow.nbytes
+        stats = self.stats
+        nbytes = flow.nbytes
+        stats.transfers_completed += 1
+        stats.bytes_completed += nbytes
+        link_bytes = stats.link_bytes
         for link in flow.path:
-            self.stats.link_bytes[link] = (
-                self.stats.link_bytes.get(link, 0.0) + flow.nbytes
-            )
+            link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
         waiter = flow.waiter
         if isinstance(waiter, Event):
             waiter.succeed(flow)

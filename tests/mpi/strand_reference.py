@@ -25,8 +25,12 @@ from repro.mpi.schedule import (
     SendStep,
     _bind,
     _partition_strands,
-    _wire_key,
 )
+
+
+def _wire_key(tag: object, key: object) -> tuple:
+    """Namespace a schedule-level message key into a world wire tag."""
+    return ("sx", tag, key)
 
 
 def _perform_step(comm, step, bufmap, tag, stats):

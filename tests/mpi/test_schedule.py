@@ -410,7 +410,7 @@ def test_strand_fusion_groups_linear_chains():
     strands = _partition_strands(b.build().rank_steps(0))
     assert [[s.sid for s, _ in strand] for strand in strands] == [[a0, a1], [b0, j]]
     (_, cross) = strands[1][1]
-    assert cross == [a1]
+    assert cross == (a1,)
 
 
 def test_fused_execution_matches_eager_send_semantics():
@@ -678,8 +678,8 @@ def test_strands_never_fuse_across_the_gpu_boundary():
         ["ComputeStep", "ComputeStep"], ["SendStep"], ["OptimStep"]
     ]
     # The boundary deps become cross-strand waits, preserving order.
-    assert [cross for s, cross in strands[1]] == [[1]]
-    assert [cross for s, cross in strands[2]] == [[2]]
+    assert [cross for s, cross in strands[1]] == [(1,)]
+    assert [cross for s, cross in strands[2]] == [(2,)]
 
 
 def test_comm_only_schedules_partition_exactly_as_before():

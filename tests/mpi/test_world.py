@@ -205,3 +205,44 @@ def test_recv_any_ignores_other_tags():
 
     with _pytest.raises(AssertionError):
         world.assert_quiescent()
+
+
+class Tag:
+    """A message tag that can be weakly referenced."""
+
+
+def test_finished_sends_leave_no_reference_cycle():
+    # A send's record is the pair's channel tail; once delivered it must not
+    # point back at the world, or every finished simulation would wait for
+    # the cycle collector instead of being freed at once, and it must not
+    # keep its predecessor or its tag, or the tail would keep the pair's
+    # every message, or more than a plain event would.
+    import gc
+    import weakref
+
+    from repro.mpi import ALLREDUCE_COMPILERS, ScheduleExecutor
+    from repro.mpi.world import _Send
+
+    schedule = ALLREDUCE_COMPILERS["multicolor"](4, 4096, 4, segment_bytes=1024)
+    gc.collect()
+    gc.disable()
+    try:
+        eng, world, comm = build_world(4)
+        ScheduleExecutor(comm, schedule, [SizeBuffer(4096) for _ in range(4)]).run()
+        tags = [Tag(), Tag()]  # the second message is chained behind the first
+        for tag in tags:
+            world.isend(0, 1, tag, SizeBuffer(8))
+        for tag in tags:
+            eng.run(world.recv(1, 0, tag))
+        eng.run()  # the last delivery fire and the fabric's last calls
+        # Only each pair's last record is alive, and it let its tag go.
+        live = sum(type(obj) is _Send for obj in gc.get_objects())
+        assert live == len(world._channel_tail)
+        tag_refs = [weakref.ref(tag) for tag in tags]
+        del tag, tags
+        assert [ref() for ref in tag_refs] == [None, None]
+        refs = [weakref.ref(eng), weakref.ref(world), weakref.ref(world.fabric)]
+        del eng, world, comm
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
