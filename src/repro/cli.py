@@ -346,7 +346,7 @@ def _cmd_step(args) -> int:
     from repro.mpi import ALLREDUCE_COMPILERS, format_schedule
     from repro.mpi.datatypes import SizeBuffer
     from repro.mpi.runner import build_world
-    from repro.mpi.schedule import ScheduleExecutor, validate_schedule
+    from repro.mpi.schedule import ComputeStep, OptimStep, ScheduleExecutor, validate_schedule
     from repro.mpi.verify import analyze_bounds, train_step_contract, verify_schedule
     from repro.train.stepdag import compile_bucketed_step, compile_model_step
 
@@ -406,9 +406,12 @@ def _cmd_step(args) -> int:
     elapsed = engine.now - start
     bounds = analyze_bounds(schedule)
     ok = bounds.critical_path_s <= elapsed
+    compute = sum(
+        s.seconds for s in schedule.steps if isinstance(s, (ComputeStep, OptimStep))
+    )
     print(
         f"simulated step {format_duration(elapsed)} "
-        f"(compute {format_duration(executor.stats.compute_seconds / args.ranks)}"
+        f"(compute {format_duration(compute / args.ranks)}"
         f"/rank); critical-path lower bound "
         f"{format_duration(bounds.critical_path_s)} "
         f"{'ok' if ok else 'VIOLATED'}"

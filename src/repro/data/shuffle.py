@@ -406,7 +406,6 @@ def simulate_shuffle(
     dataset: DatasetSpec,
     *,
     n_groups: int = 1,
-    replicate_per_group: bool = False,
     network: NetworkParams = CONNECTX5_DUAL,
     pack_bandwidth: float = DEFAULT_PACK_BANDWIDTH,
     hosts_per_leaf: int = 4,
@@ -414,26 +413,18 @@ def simulate_shuffle(
 ) -> ShuffleReport:
     """Full-scale shuffle timing (Figures 7-9).
 
-    With ``replicate_per_group=False`` (the Figure 9 setup) the dataset is
-    partitioned across *all* learners and ``n_groups`` only restricts the
-    exchange to sub-communicators — on a symmetric fabric this changes
-    little, which is exactly the paper's finding.  With
-    ``replicate_per_group=True`` every group holds a full copy of the
-    dataset (the paper's memory-rich layout), so per-node bytes — and
-    shuffle time — grow with the group count.
+    The dataset is partitioned across *all* learners and ``n_groups`` only
+    restricts the exchange to sub-communicators (the Figure 9 setup) — on a
+    symmetric fabric this changes little, which is exactly the paper's
+    finding.
     """
     if not pack_bandwidth > 0:  # the negated form also rejects NaN
         raise ValueError(f"pack_bandwidth must be positive, got {pack_bandwidth}")
     if max_chunk_bytes < 1:
         raise ValueError(f"max_chunk_bytes must be >= 1, got {max_chunk_bytes}")
-    if replicate_per_group:
-        partition = dataset.partition_bytes(n_learners, n_groups)
-    else:
-        partition = dataset.partition_bytes(n_learners, 1)
-        if not 1 <= n_groups <= n_learners or n_learners % n_groups != 0:
-            raise ValueError(
-                f"{n_learners} learners not divisible into {n_groups} groups"
-            )
+    partition = dataset.partition_bytes(n_learners)
+    if not 1 <= n_groups <= n_learners or n_learners % n_groups != 0:
+        raise ValueError(f"{n_learners} learners not divisible into {n_groups} groups")
     n_passes = max(1, math.ceil(partition / max_chunk_bytes))
     engine, world, comm = build_world(
         n_learners,

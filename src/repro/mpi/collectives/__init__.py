@@ -21,9 +21,8 @@ Registered allreduce algorithms:
 * ``"hierarchical"`` — the 2-D group x cross-group ring.
 * ``"binomial"`` — naive reduce-to-root + broadcast (latency baseline).
 
-Two collectives stay generators because their message sizes depend on
-other ranks' data: :func:`alltoallv` (the shuffle) and
-:func:`ring_allgatherv`.
+One collective stays a generator because its message sizes depend on
+other ranks' data: :func:`alltoallv` (the shuffle).
 """
 
 from repro.mpi.collectives.alltoall import alltoallv, compile_alltoallv
@@ -32,7 +31,6 @@ from repro.mpi.collectives.basic import (
     compile_binomial_bcast,
     compile_binomial_reduce,
     compile_dissemination_barrier,
-    ring_allgatherv,
 )
 from repro.mpi.collectives.hierarchical import compile_hierarchical
 from repro.mpi.collectives.multicolor import (
@@ -102,6 +100,5 @@ __all__ = [
     "compile_rsag",
     "internal_nodes",
     "kary_bfs_tree",
-    "ring_allgatherv",
     "segments_of",
 ]

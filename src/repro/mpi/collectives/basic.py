@@ -6,25 +6,19 @@ MPI algorithms), a dissemination barrier, and the naive
 reduce-then-broadcast allreduce they compose into
 (:func:`compile_binomial_allreduce`, registered as ``"binomial"``).
 
-All fixed-size collectives here are schedule compilers; only
-:func:`ring_allgatherv` remains a hand-written generator because its
-per-rank message sizes are unknown at compile time (each step forwards
-whatever payload arrived in the previous step).
+All of them are schedule compilers.
 """
 
 from __future__ import annotations
 
 from repro.mpi.collectives.trees import binomial_tree
-from repro.mpi.datatypes import ArrayBuffer, Buffer, SizeBuffer
 from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
-from repro.mpi.world import Communicator
 
 __all__ = [
     "compile_binomial_allreduce",
     "compile_binomial_bcast",
     "compile_binomial_reduce",
     "compile_dissemination_barrier",
-    "ring_allgatherv",
 ]
 
 
@@ -139,43 +133,3 @@ def compile_dissemination_barrier(n_ranks: int) -> Schedule:
         step <<= 1
         round_no += 1
     return b.build()
-
-
-def ring_allgatherv(
-    comm: Communicator,
-    rank: int,
-    contribution: Buffer,
-    *,
-    tag: object = None,
-):
-    """Rank program: gather every rank's (variable-size) buffer everywhere.
-
-    Returns a list of payloads indexed by source group rank.  Uses the ring
-    algorithm: in step ``t`` each rank forwards the block it received in
-    step ``t-1``.  This collective stays a generator (not a schedule
-    compiler): per-step message sizes depend on *other ranks'* payloads,
-    which a static compile cannot know.
-    """
-    n = comm.size
-    gathered: list[object] = [None] * n
-    gathered[rank] = contribution.extract()
-    if n == 1:
-        return gathered
-    succ = (rank + 1) % n
-    pred = (rank - 1) % n
-    carry: Buffer = contribution
-    for t in range(n - 1):
-        comm.isend(rank, succ, ("agv", tag, t), carry)
-        msg = yield comm.recv(rank, pred, ("agv", tag, t))
-        src = (rank - t - 1) % n
-        gathered[src] = msg.payload
-        carry = _as_buffer(msg)
-    return gathered
-
-
-def _as_buffer(msg) -> Buffer:
-    """Wrap a received payload back into a Buffer for forwarding."""
-    if msg.payload is None:
-        # Size-only mode: reconstruct a SizeBuffer of the same byte count.
-        return SizeBuffer(msg.nbytes, itemsize=1)
-    return ArrayBuffer(msg.payload)

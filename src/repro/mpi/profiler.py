@@ -1,10 +1,9 @@
 """Collective profiling: where a collective's bytes and time go.
 
-Profiles a compiled collective schedule: the
-:class:`~repro.mpi.schedule.ScheduleExecutor`'s strands already count
-per-rank sent bytes and messages at every send step they post, so this
-module adds only the link-class traffic classification and the alpha-beta
-lower bound — producing the numbers behind statements like "the multi-color trees
+Profiles a compiled collective schedule: per-rank sent bytes and the
+message count are facts of the schedule's send steps, so this module adds
+only the link-class traffic classification and the alpha-beta lower
+bound — producing the numbers behind statements like "the multi-color trees
 push 4x more bytes through the leaf-spine core than a contiguous ring".
 """
 
@@ -17,7 +16,7 @@ from repro.mpi.analytic import AlphaBetaModel
 from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import SizeBuffer
 from repro.mpi.runner import build_world
-from repro.mpi.schedule import ScheduleExecutor
+from repro.mpi.schedule import ScheduleExecutor, SendStep
 from repro.net.params import CONNECTX5_DUAL, NetworkParams
 from repro.net.topology import Topology
 from repro.net.visualize import core_traffic
@@ -41,7 +40,7 @@ class CollectiveProfile:
     step_counts: dict[str, int] = field(default_factory=dict)
     n_messages: int = 0
     #: Per-rank executed/total schedule steps (from the executor's progress
-    #: tracking); a clean profile run completes every step on every rank.
+    #: record); a clean profile run completes every step on every rank.
     steps_completed: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     @property
@@ -83,10 +82,9 @@ def profile_allreduce(
 ) -> CollectiveProfile:
     """Run one size-only allreduce and collect its traffic profile.
 
-    Per-rank send accounting comes from the executor's
-    :class:`~repro.mpi.schedule.ExecutionStats`, counted by its strands at
-    each posted send step — written once at the executor layer, not per
-    algorithm.
+    Per-rank send accounting is read off the schedule: each
+    :class:`~repro.mpi.schedule.SendStep` sends ``hi - lo`` elements of its
+    bound buffer (none for a token) — written once for every algorithm.
     """
     if algorithm not in ALLREDUCE_COMPILERS:
         raise ValueError(
@@ -109,7 +107,11 @@ def profile_allreduce(
     engine.run(executor.launch())
     elapsed = engine.now - start
     wire_bytes = world.fabric.stats.bytes_completed - wire_before
-    sent = {r: executor.stats.per_rank_sent.get(r, 0.0) for r in range(n_ranks)}
+    sent = {r: 0.0 for r in range(n_ranks)}
+    sends = [s for s in schedule.steps if type(s) is SendStep]
+    for s in sends:
+        if s.buf is not None:
+            sent[s.rank] += (s.hi - s.lo) * executor.bufmaps[s.rank][s.buf].itemsize
     step_counts = Counter(type(step).__name__ for step in schedule.steps)
     classes = core_traffic(world.fabric)
     bound = AlphaBetaModel(
@@ -135,9 +137,8 @@ def profile_allreduce(
         bandwidth_lower_bound=bound,
         per_rank_sent=sent,
         step_counts=dict(step_counts),
-        n_messages=executor.stats.n_messages,
-        steps_completed={
-            r: (executor.progress.steps_done[r], executor.progress.steps_total[r])
-            for r in range(n_ranks)
-        },
+        n_messages=len(sends),
+        steps_completed=dict(enumerate(
+            zip(executor.progress.steps_done, executor.progress.steps_total)
+        )),
     )

@@ -43,8 +43,8 @@ Executor-layer services
   (call-driven state machines, not processes) plus one *proxy* process
   per rank; fault injectors interrupt the proxies exactly as they
   interrupted generator rank-programs.  Each strand records step begin and
-  finish times (:class:`ExecutionProgress`) and counts the sends it posts
-  (:class:`ExecutionStats`).
+  finish times in the run's one record (:class:`ExecutionProgress`); the
+  bytes, messages and compute seconds of a run are read off the schedule.
 * :func:`run_guarded` — one compiled collective under the shared
   watchdog/retry/repair loop (:mod:`repro.mpi.guard`), on a fresh
   private world per attempt.
@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Any, Callable, Iterable
 
 from repro.mpi.analytic import (
@@ -86,7 +86,6 @@ __all__ = [
     "ComputeStep",
     "CopyStep",
     "ExecutionProgress",
-    "ExecutionStats",
     "ExecutorAttempt",
     "FailureDiagnosis",
     "OptimStep",
@@ -672,17 +671,6 @@ def _format_step(s: Step) -> str:
 
 # -- execution ----------------------------------------------------------------
 
-@dataclass
-class ExecutionStats:
-    """Per-run accounting the executor fills in (profiler food)."""
-
-    per_rank_sent: dict[int, float] = field(default_factory=dict)
-    n_messages: int = 0
-    reduced_bytes: float = 0.0
-    copied_bytes: float = 0.0
-    compute_seconds: float = 0.0
-
-
 class ExecutionProgress:
     """The one record of an executor run: when each step began and ended.
 
@@ -690,27 +678,32 @@ class ExecutionProgress:
     met) and ``end[sid]`` the time it finished, ``None`` until then; the
     lint makes sids dense, so both are plain lists.  A step with a start
     and no end is in flight; a send's start and end are its post time.
-    ``steps_done`` counts each rank's finished steps.  Updated synchronously
-    from inside the strands, it adds **no simulation events**, so a
-    tracked run is time-identical to an untracked one (the Figure 5
-    goldens stay bit-exact).
+    The strands write both lists directly, adding **no simulation
+    events**, so a tracked run is time-identical to an untracked one (the
+    Figure 5 goldens stay bit-exact).  Per-rank step counts are read off
+    the schedule only when asked for.
     """
 
+    __slots__ = ("schedule", "start", "end")
+
     def __init__(self, schedule: Schedule):
-        n = schedule.n_ranks
-        self.steps_total = [0] * n
-        for s in schedule.steps:
-            self.steps_total[s.rank] += 1
-        self.steps_done = [0] * n
+        self.schedule = schedule
         self.start: list[float | None] = [None] * schedule.n_steps
         self.end: list[float | None] = [None] * schedule.n_steps
 
-    def begin(self, step: Step, now: float) -> None:
-        self.start[step.sid] = now
+    @property
+    def steps_total(self) -> list[int]:
+        """Each rank's number of steps."""
+        return [len(self.schedule.rank_steps(r)) for r in range(self.schedule.n_ranks)]
 
-    def finish(self, step: Step, now: float) -> None:
-        self.end[step.sid] = now
-        self.steps_done[step.rank] += 1
+    @property
+    def steps_done(self) -> list[int]:
+        """Each rank's number of finished steps."""
+        end = self.end
+        return [
+            sum(end[s.sid] is not None for s in self.schedule.rank_steps(r))
+            for r in range(self.schedule.n_ranks)
+        ]
 
 
 @dataclass(frozen=True)
@@ -1063,11 +1056,11 @@ class _Strand(Event):
 
     __slots__ = (
         "name", "_world", "_members", "_cpu", "_gpu", "_entries", "_bufmap",
-        "_tag", "_stats", "_done", "_progress", "_pos", "_dep", "_waiting",
-        "_res", "_seconds", "_held_data",
+        "_tag", "_done", "_start", "_end", "_pos", "_dep", "_waiting",
+        "_res", "_seconds", "_grad",
     )
 
-    def __init__(self, comm, rank, entries, bufmap, tag, stats, done, progress):
+    def __init__(self, comm, rank, entries, bufmap, tag, done, progress):
         engine = comm.engine
         super().__init__(engine)
         world = comm.world
@@ -1080,15 +1073,15 @@ class _Strand(Event):
         self._entries = entries
         self._bufmap = bufmap
         self._tag = tag
-        self._stats = stats
         self._done = done
-        self._progress = progress
+        self._start = progress.start
+        self._end = progress.end
         self._pos = 0        # index of the current step in ``entries``
         self._dep = 0        # cross-strand deps of that step waited on so far
         self._waiting = None  # a dep event, _RECV, a resource, _HOLD or None
         self._res = None     # the resource requested or held, for cleanup
         self._seconds = 0.0  # duration of the hold being requested
-        self._held_data = None  # what the step finishes with after its hold
+        self._grad = None    # the gradient an OptimStep read when it started
         engine.call(self._boot)
 
     @property
@@ -1119,8 +1112,8 @@ class _Strand(Event):
     def _clear(self) -> None:
         """Drop every reference a finished strand no longer needs."""
         self._world = self._members = self._cpu = self._gpu = None
-        self._entries = self._bufmap = self._stats = self._done = None
-        self._progress = self._res = self._held_data = None
+        self._entries = self._bufmap = self._done = None
+        self._start = self._end = self._res = self._grad = None
 
     def _boot(self, _arg: None) -> None:
         try:
@@ -1143,21 +1136,20 @@ class _Strand(Event):
             view = _bind(self._bufmap, step.buf, step.lo, step.hi)
             if type(step) is RecvReduceStep:
                 view.add_(msg.payload)
-                self._hold(self._cpu, view.nbytes / self._world.reduce_bandwidth, view)
+                self._hold(self._cpu, view.nbytes / self._world.reduce_bandwidth)
             elif view is not None:
                 view.copy_(msg.payload)
-                self._hold(self._cpu, view.nbytes / self._world.copy_bandwidth, view)
+                self._hold(self._cpu, view.nbytes / self._world.copy_bandwidth)
             else:  # a synchronization token: nothing to write
                 self._finish_step()
                 self._run()
         except BaseException as exc:  # noqa: BLE001
             self._die(exc)
 
-    def _hold(self, res: Resource, seconds: float, data: Any) -> None:
+    def _hold(self, res: Resource, seconds: float) -> None:
         """Request ``res``, hold it for ``seconds``, then finish the step."""
         self._res = res
         self._seconds = seconds
-        self._held_data = data
         res.request_call(self._granted)
         self._waiting = res
 
@@ -1178,24 +1170,18 @@ class _Strand(Event):
             res, self._res = self._res, None
             res.release()
             step = self._entries[self._pos][0]
-            data, self._held_data = self._held_data, None
-            stats = self._stats
             kind = type(step)
-            if kind is RecvReduceStep or kind is ReduceLocalStep:
-                stats.reduced_bytes += data.nbytes
-            elif kind is CopyStep:
-                stats.copied_bytes += data.nbytes
-            else:
-                if kind is ComputeStep:
-                    if step.buf is not None and step.src_buf is not None:
-                        # Staged memory mode: materialize the produced range.
-                        view = _bind(self._bufmap, step.buf, step.lo, step.hi)
-                        src = _bind(self._bufmap, step.src_buf, step.lo, step.hi)
-                        view.copy_(src.extract())
-                elif step.dst_buf is not None:  # an OptimStep's update
+            if kind is ComputeStep:
+                if step.buf is not None and step.src_buf is not None:
+                    # Staged memory mode: materialize the produced range.
+                    view = _bind(self._bufmap, step.buf, step.lo, step.hi)
+                    src = _bind(self._bufmap, step.src_buf, step.lo, step.hi)
+                    view.copy_(src.extract())
+            elif kind is OptimStep:
+                grad, self._grad = self._grad, None
+                if step.dst_buf is not None:  # the update
                     dst = _bind(self._bufmap, step.dst_buf, step.lo, step.hi)
-                    dst.copy_(data)
-                stats.compute_seconds += step.seconds
+                    dst.copy_(grad)
             self._finish_step()
             self._run()
         except BaseException as exc:  # noqa: BLE001
@@ -1204,7 +1190,7 @@ class _Strand(Event):
     # -- running -----------------------------------------------------------
     def _finish_step(self) -> None:
         step = self._entries[self._pos][0]
-        self._progress.finish(step, self.engine.now)
+        self._end[step.sid] = self.engine.now
         ev = self._done.get(step.sid)
         if ev is not None:
             ev.succeed()
@@ -1235,7 +1221,7 @@ class _Strand(Event):
                     ev.callbacks.append(self._resume)
                 self._waiting = ev
                 return
-            self._progress.begin(step, engine.now)
+            self._start[step.sid] = engine.now
             kind = type(step)
             # A step's message travels under the wire tag ("sx", tag, key).
             if kind is SendStep:
@@ -1246,9 +1232,6 @@ class _Strand(Event):
                     members[step.rank], members[step.dst],
                     ("sx", self._tag, step.key), view,
                 )
-                stats = self._stats
-                stats.per_rank_sent[step.rank] += view.nbytes
-                stats.n_messages += 1
                 self._finish_step()
                 continue
             if kind is RecvReduceStep or kind is CopyStep:
@@ -1261,16 +1244,16 @@ class _Strand(Event):
                 dst = _bind(bufmap, step.buf, step.lo, step.hi)
                 src = _bind(bufmap, step.src_buf, step.src_lo, step.src_hi)
                 dst.add_(src.extract())
-                self._hold(self._cpu, dst.nbytes / world.reduce_bandwidth, dst)
+                self._hold(self._cpu, dst.nbytes / world.reduce_bandwidth)
             elif kind is ComputeStep:
-                self._hold(self._gpu, step.seconds, None)
+                self._hold(self._gpu, step.seconds)
             elif kind is OptimStep:
                 # The gradient is read when the update *starts*: a schedule
                 # that lets the optimizer race an in-flight reduction really
                 # consumes the stale values (so dropped-dependency mutants
                 # miscompute).
-                grad = _bind(bufmap, step.buf, step.lo, step.hi)
-                self._hold(self._gpu, step.seconds, grad.extract())
+                self._grad = _bind(bufmap, step.buf, step.lo, step.hi).extract()
+                self._hold(self._gpu, step.seconds)
             else:  # pragma: no cover - new step types must be handled here
                 raise ScheduleError(f"unknown step type {type(step).__name__}")
             return
@@ -1324,9 +1307,10 @@ class ScheduleExecutor:
 
     Each strand records its steps' begin and finish times in
     :attr:`progress` (the run's one record, see
-    :class:`ExecutionProgress`) and counts the sends it posts in
-    :attr:`stats`, so executors can share one world, even under one wire
-    tag, without seeing each other's traffic.
+    :class:`ExecutionProgress`), so executors can share one world, even
+    under one wire tag, without seeing each other's traffic.  What a run
+    sends and computes is a fact of :attr:`schedule`: the executor keeps
+    no count of it.
     """
 
     def __init__(
@@ -1352,9 +1336,6 @@ class ScheduleExecutor:
         self.bufmaps = [_as_bufmap(b) for b in buffers]
         for bufmap in self.bufmaps:
             _check_binding(schedule, bufmap)
-        self.stats = ExecutionStats(
-            per_rank_sent={r: 0.0 for r in range(comm.size)}
-        )
         #: Per-step progress the attribution layer diagnoses stalls from.
         self.progress = ExecutionProgress(schedule)
         self.rank_procs: list[Process] = []
@@ -1392,7 +1373,7 @@ class ScheduleExecutor:
         return [
             _Strand(
                 self.comm, rank, entries, self.bufmaps[rank], self.tag,
-                self.stats, done, self.progress,
+                done, self.progress,
             )
             for entries in chains
         ]

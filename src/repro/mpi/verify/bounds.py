@@ -20,7 +20,8 @@ Two complementary numbers per schedule:
   (the gamma-plus-GPU terms), and because the GPU is exclusive per
   rank, the per-rank *sum* of compute seconds is itself a lower bound
   the DAG path may not reach — the final critical path is the max of
-  the two.
+  the two, rounded down by the error floating-point addition can put
+  between it and the simulator's clock (:data:`ROUNDING`).
 * **peak in-flight bytes** — walking the canonical linearization, every
   send deposits its payload on its ``(src, dst)`` link and its source
   rank's outstanding-bytes account; the matching receive drains it.  The
@@ -47,6 +48,9 @@ from repro.mpi.verify.hb import HBGraph
 from repro.mpi.verify.report import Issue, cap_issues
 
 __all__ = ["ResourceBounds", "analyze_bounds", "check_bounds"]
+
+#: Relative error of one rounded addition (half an ulp, 2**-53).
+ROUNDING = 2.0**-53
 
 
 @dataclass
@@ -154,6 +158,11 @@ def analyze_bounds(
     # largest per-rank compute sum is a second sound lower bound.
     if gpu_seconds:
         bounds.critical_path_s = max(bounds.critical_path_s, max(gpu_seconds.values()))
+    # Either sum adds at most two terms per step (a weight and an arrival),
+    # and the simulator's clock adds the same durations in another order:
+    # each sum is within 2n roundings of the exact one, so the bound drops
+    # by 4n of them (plus one for this product) to stay below the clock.
+    bounds.critical_path_s *= 1.0 - (4 * n + 1) * ROUNDING
     bounds.leaked_bytes = sum(link_now.values())
     return bounds
 

@@ -100,10 +100,9 @@ class MPIWorld:
     """All ranks plus the network they communicate over.
 
     The world keeps no record of who sent what: whoever posts a send
-    accounts for it (a schedule executor's strands in its
-    :class:`~repro.mpi.schedule.ExecutionProgress` and
-    :class:`~repro.mpi.schedule.ExecutionStats`, a shuffle's rank programs
-    in its :class:`~repro.data.shuffle.ShuffleProgress`).
+    records it (a schedule executor's strands as a step time in its
+    :class:`~repro.mpi.schedule.ExecutionProgress`, a shuffle's rank
+    programs in its :class:`~repro.data.shuffle.ShuffleProgress`).
     """
 
     def __init__(

@@ -31,7 +31,7 @@ from repro.mpi.schedule import (
     Step,
     _message_edges,
 )
-from repro.mpi.verify.bounds import ResourceBounds, _nbytes
+from repro.mpi.verify.bounds import ROUNDING, ResourceBounds, _nbytes
 
 
 def _ranges_of(s: Step) -> list[tuple[int, int]]:
@@ -231,6 +231,7 @@ def reference_analyze_bounds(
         path, critical = [], 0.0
     if gpu_seconds:
         critical = max(critical, max(gpu_seconds.values()))
+    critical *= 1.0 - (4 * n + 1) * ROUNDING
 
     bounds = ResourceBounds(
         critical_path_s=critical,

@@ -7,8 +7,8 @@ the producing steps' ``done`` events, receive events and
 each strand as a chain of engine calls that keeps every heap entry at the
 same time and in the same order.  :class:`ReferenceExecutor` keeps the
 generator version, so a test can run the same schedule both ways and compare
-clocks, progress, stats, buffers and engine step counts exactly; only the
-number of processes differs.
+clocks, progress, buffers and engine step counts exactly; only the number of
+processes differs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _wire_key(tag: object, key: object) -> tuple:
     return ("sx", tag, key)
 
 
-def _perform_step(comm, step, bufmap, tag, stats):
+def _perform_step(comm, step, bufmap, tag):
     """Generator performing one step's operation (deps already satisfied)."""
     world = comm.world
     cpu = world.cpus[comm.members[step.rank]]
@@ -42,34 +42,28 @@ def _perform_step(comm, step, bufmap, tag, stats):
         view = _bind(bufmap, step.buf, step.lo, step.hi)
         payload = view if view is not None else SizeBuffer(0)
         comm.isend(step.rank, step.dst, _wire_key(tag, step.key), payload)
-        stats.per_rank_sent[step.rank] += payload.nbytes
-        stats.n_messages += 1
     elif isinstance(step, RecvReduceStep):
         msg = yield comm.recv(step.rank, step.src, _wire_key(tag, step.key))
         view = _bind(bufmap, step.buf, step.lo, step.hi)
         view.add_(msg.payload)
         yield from cpu.use(view.nbytes / world.reduce_bandwidth)
-        stats.reduced_bytes += view.nbytes
     elif isinstance(step, CopyStep):
         msg = yield comm.recv(step.rank, step.src, _wire_key(tag, step.key))
         view = _bind(bufmap, step.buf, step.lo, step.hi)
         if view is not None:
             view.copy_(msg.payload)
             yield from cpu.use(view.nbytes / world.copy_bandwidth)
-            stats.copied_bytes += view.nbytes
     elif isinstance(step, ReduceLocalStep):
         dst = _bind(bufmap, step.buf, step.lo, step.hi)
         src = _bind(bufmap, step.src_buf, step.src_lo, step.src_hi)
         dst.add_(src.extract())
         yield from cpu.use(dst.nbytes / world.reduce_bandwidth)
-        stats.reduced_bytes += dst.nbytes
     elif isinstance(step, ComputeStep):
         yield from gpu.use(step.seconds)
         if step.buf is not None and step.src_buf is not None:
             view = _bind(bufmap, step.buf, step.lo, step.hi)
             src = _bind(bufmap, step.src_buf, step.lo, step.hi)
             view.copy_(src.extract())
-        stats.compute_seconds += step.seconds
     elif isinstance(step, OptimStep):
         grad = _bind(bufmap, step.buf, step.lo, step.hi)
         data = grad.extract()
@@ -77,20 +71,19 @@ def _perform_step(comm, step, bufmap, tag, stats):
         if step.dst_buf is not None:
             dst = _bind(bufmap, step.dst_buf, step.lo, step.hi)
             dst.copy_(data)
-        stats.compute_seconds += step.seconds
     else:  # pragma: no cover
         raise ScheduleError(f"unknown step type {type(step).__name__}")
 
 
-def _strand_program(comm, entries, bufmap, tag, stats, done, progress):
+def _strand_program(comm, entries, bufmap, tag, done, progress):
     """One process per strand: wait on cross-strand deps, run each step."""
     engine = comm.engine
     for step, cross in entries:
         for d in cross:
             yield done[d]  # already-processed events resume one hop later
-        progress.begin(step, engine.now)
-        yield from _perform_step(comm, step, bufmap, tag, stats)
-        progress.finish(step, engine.now)
+        progress.start[step.sid] = engine.now
+        yield from _perform_step(comm, step, bufmap, tag)
+        progress.end[step.sid] = engine.now
         ev = done.get(step.sid)
         if ev is not None:
             ev.succeed()
@@ -111,7 +104,7 @@ class ReferenceExecutor(ScheduleExecutor):
             engine.process(
                 _strand_program(
                     self.comm, entries, self.bufmaps[rank], self.tag,
-                    self.stats, done, self.progress,
+                    done, self.progress,
                 ),
                 name=f"sx{entries[0][0].sid}-r{rank}",
             )

@@ -1,16 +1,18 @@
-"""Direct tests for bcast / reduce / barrier / allgatherv / alltoallv."""
+"""Direct tests for bcast / reduce / barrier / alltoallv and the shuffle's
+verified ring allgather."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.integrity import ShuffleIntegrityError
+from repro.data.shuffle import _verified_ring_exchange
 from repro.mpi import (
     ArrayBuffer,
     ScheduleBuilder,
     ScheduleExecutor,
     SendStep,
-    SizeBuffer,
     build_world,
     run_rank_programs,
 )
@@ -19,7 +21,6 @@ from repro.mpi.collectives import (
     compile_binomial_bcast,
     compile_binomial_reduce,
     compile_dissemination_barrier,
-    ring_allgatherv,
 )
 
 
@@ -74,28 +75,45 @@ def test_barrier_synchronizes_staggered_ranks():
         assert max(end[s.sid] for s in sched.rank_steps(r)) >= slowest_arrival
 
 
-def test_allgatherv_variable_sizes():
+def test_verified_ring_exchange_gathers_variable_blocks_in_owner_order():
     n = 4
     eng, w, comm = world(n)
-    contributions = [np.full(r + 1, float(r)) for r in range(n)]
-    bufs = [ArrayBuffer(c.copy()) for c in contributions]
+    blocks = [list(range(10 * r, 10 * r + r + 1)) for r in range(n)]
     out = run_rank_programs(
-        comm, ring_allgatherv, per_rank_args=[(b,) for b in bufs]
+        comm, _verified_ring_exchange, per_rank_args=[(b,) for b in blocks]
     )
     for gathered in out.results:
-        assert len(gathered) == n
-        for src, payload in enumerate(gathered):
-            np.testing.assert_array_equal(payload, contributions[src])
+        assert [g.tolist() for g in gathered] == blocks
 
 
-def test_allgatherv_size_only_mode():
-    n = 3
-    eng, w, comm = world(n)
-    bufs = [SizeBuffer(10 * (r + 1), 4) for r in range(n)]
-    out = run_rank_programs(
-        comm, ring_allgatherv, per_rank_args=[(b,) for b in bufs]
-    )
-    assert all(len(g) == n for g in out.results)
+class _CorruptOneHop:
+    """Fault controller flipping one bit of the message on one hop."""
+
+    def __init__(self, src, dst, hop):
+        self.target = (src, dst, hop)
+
+    def on_send(self, src, dst, tag, nbytes):
+        hit = (src, dst, tag[2]) == self.target
+        return ("corrupt" if hit else "deliver"), 0.0
+
+    def corrupt_payload(self, data):
+        flipped = data.copy()
+        flipped[0] ^= 1
+        return flipped
+
+
+def test_verified_ring_exchange_names_the_corrupting_sender():
+    # Hop 0 carries rank 1's own block; hop 2 one it forwards for rank 3.
+    n = 4
+    for hop in (0, 2):
+        eng, w, comm = world(n)
+        w.fault_controller = _CorruptOneHop(1, 2, hop)
+        with pytest.raises(ShuffleIntegrityError) as info:
+            run_rank_programs(
+                comm, _verified_ring_exchange, per_rank_args=[([r, 7 * r],) for r in range(n)]
+            )
+        assert (info.value.suspect, info.value.detected_by) == (1, 2)
+        assert f"(hop {hop})" in str(info.value)
 
 
 def test_alltoallv_exchanges_blocks():

@@ -8,8 +8,8 @@ ranks with a fast or a slow reduce/copy CPU — run once through
 at drawn times (right after launch, at an exact time the clean run had an
 event, or between events); a guard then abandons the attempt by interrupting
 every live strand, as the fleet's attempt does.  Both runs must agree on the
-outcome, clock, engine step count, :class:`ExecutionProgress`,
-:class:`ExecutionStats`, buffer contents and leftover mailbox state, and each
+outcome, clock, engine step count, :class:`ExecutionProgress`, buffer
+contents and leftover mailbox state, and each
 must drain without an unhandled failure, leaving every CPU and GPU idle with
 no waiters.
 """
@@ -150,7 +150,6 @@ def simulate(executor_cls, case, interrupts=(), abandon_reversed=False):
     for res in world.cpus + world.gpus:
         assert res.in_use == 0 and res.queue_length == 0, res.name
     progress = executor.progress
-    stats = executor.stats
     return {
         "outcome": outcome,
         "clock": engine.now.hex(),
@@ -158,10 +157,6 @@ def simulate(executor_cls, case, interrupts=(), abandon_reversed=False):
         "steps_done": progress.steps_done,
         "start": [None if t is None else t.hex() for t in progress.start],
         "end": [None if t is None else t.hex() for t in progress.end],
-        "stats": (
-            sorted(stats.per_rank_sent.items()), stats.n_messages,
-            stats.reduced_bytes, stats.copied_bytes, stats.compute_seconds,
-        ),
         "buffers": [
             {name: buf.array.tolist() for name, buf in bufmap.items()}
             for bufmap in buffers

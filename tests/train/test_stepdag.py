@@ -113,7 +113,9 @@ def test_critical_path_bounds_simulated_elapsed():
     bounds = analyze_bounds(sched)
     assert 0 < bounds.critical_path_s <= elapsed
     # All compute ran: 4 ranks x (fwd 1ms + bwd 2ms + optim 0.5ms).
-    assert executor.stats.compute_seconds == pytest.approx(4 * 3.5e-3)
+    assert None not in executor.progress.end
+    compute = sum(s.seconds for s in sched.steps if isinstance(s, (ComputeStep, OptimStep)))
+    assert compute == pytest.approx(4 * 3.5e-3)
 
 
 def test_gpu_exclusivity_floor_in_critical_path():
@@ -128,8 +130,25 @@ def test_gpu_exclusivity_floor_in_critical_path():
         comm, sched, [SizeBuffer(64, 4) for _ in range(2)]
     ).run()
     bounds = analyze_bounds(sched)
-    assert bounds.critical_path_s >= 0.16
+    # 0.16 s of compute per rank, less the bound's rounding allowance.
+    assert bounds.critical_path_s >= 0.16 * (1 - 1e-12)
     assert bounds.critical_path_s <= elapsed
+
+
+def test_critical_path_stays_below_a_clock_that_rounds_differently():
+    # The bound sums the per-rank compute seconds in sid order and the
+    # clock in event order: unrounded, the sum here lands one ulp above
+    # the simulated 0.0020499999999999997 s.
+    sched = compile_bucketed_step(
+        3, 50000, 2, forward_time=0, backward_time=2e-3, optim_time=5e-5,
+        n_buckets=3, algorithm="binomial", memory="data",
+    )
+    engine, world, comm = build_world(3)
+    elapsed = ScheduleExecutor(
+        comm, sched, [SizeBuffer(sched.count, sched.itemsize) for _ in range(3)]
+    ).run()
+    assert elapsed == 0.0020499999999999997
+    assert 0.00205 * (1 - 1e-12) < analyze_bounds(sched).critical_path_s <= elapsed
 
 
 def test_model_step_compiles_and_verifies():
